@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from pathlib import Path
 from typing import Optional
 
 from .errors import CacheError
 from .groups import Group, from_elements
-from .perms import Permutation
 
 __all__ = [
     "cache_dir",
@@ -72,9 +72,16 @@ def store_lattice(G: Group, subgroups: tuple[Group, ...]) -> None:
         lines.append("sub " + " ".join(map(str, idxs)))
     path = _path_for(G)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    # a temp file of its own, so concurrent writers of one group never mix
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .errors import BoundExceededError, CatalogError
 from .groups import Group, MAX_DEGREE, direct_product, from_elements
-from .perms import Permutation, from_cycles, identity, to_cycles
+from .perms import Permutation, from_cycles, to_cycles
+from .primes import p_part, prime_divisors
 
 __all__ = [
     "GroupSpec",
@@ -63,19 +64,7 @@ def cyclic(n: int) -> Group:
         return Group(n, [Permutation(tuple(range(1, n)) + (0,))],
                      _max_order=max(1000, n))
     # coprime prime-power decomposition acts on fewer points
-    parts = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            q = 1
-            while m % d == 0:
-                q *= d
-                m //= d
-            parts.append(q)
-        d += 1
-    if m > 1:
-        parts.append(m)
+    parts = [p_part(n, p) for p in prime_divisors(n)]
     if sum(parts) > MAX_DEGREE:
         raise BoundExceededError(f"cyclic({n}) does not fit on {MAX_DEGREE} points")
     G = cyclic(parts[0])

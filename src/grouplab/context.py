@@ -4,26 +4,23 @@ Everything downstream (lattice, structural predicates, formations,
 quasinormality, theorem encodings) works through a :class:`GroupContext`,
 which memoizes the expensive objects: element conjugacy classes, the normal
 subgroup list, the full subgroup lattice, Sylow classes, quotients and
-per-subgroup predicates.  Contexts are created once per ambient group and
-shared; all contained data is immutable after computation.
+per-subgroup predicates.  Every such value lives in the context's one memo
+table, :meth:`GroupContext.memo`.  Contexts are created once per ambient
+group and shared; all contained data is immutable after computation.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-from typing import Optional
+from functools import wraps
+from typing import Callable, Optional, TypeVar
 
-from .errors import BoundExceededError, NotASubgroupError
-from .groups import (
-    Group,
-    Homomorphism,
-    closure,
-    from_elements,
-    quotient,
-    trivial_group,
-)
+from .errors import NotASubgroupError
+from .groups import Group, Homomorphism, closure, from_elements, quotient
 from .perms import Permutation, identity
+from .primes import p_part, prime_divisors
+
+T = TypeVar("T")
+_MISSING = object()
 
 _CONTEXTS: dict[tuple[int, frozenset], "GroupContext"] = {}
 
@@ -53,6 +50,22 @@ def subgroup_sort_key(H: Group) -> tuple:
     return (H.order, tuple(p.images for p in H.elements()))
 
 
+def _memoized(method):
+    """Memoize a GroupContext method: one without arguments in the "named"
+    table under its own name, one of a subgroup H in the table named after
+    the method under H.key."""
+    name = method.__name__
+
+    @wraps(method)
+    def wrapper(self, *args):
+        if not args:
+            return self.memo("named", name, lambda: method(self))
+        H, = args
+        return self.memo(name, H.key, lambda: method(self, H))
+
+    return wrapper
+
+
 class GroupContext:
     """Memoized derived data for one ambient group."""
 
@@ -60,24 +73,18 @@ class GroupContext:
         self.group = G
         self._parent = parent
         self._registry: dict[frozenset, Group] = {G.key: G}
-        self._conj_classes: Optional[tuple[frozenset, ...]] = None
-        self._class_of: Optional[dict[Permutation, int]] = None
-        self._normals: Optional[tuple[Group, ...]] = None
-        self._subgroups: Optional[tuple[Group, ...]] = None
-        self._subgroup_classes: Optional[tuple[tuple[Group, ...], ...]] = None
-        self._class_index_of: dict[frozenset, int] = {}
-        self._maximals: dict[frozenset, tuple[Group, ...]] = {}
-        self._cores: dict[frozenset, Group] = {}
-        self._subnormal: dict[frozenset, tuple[bool, int]] = {}
-        self._sperm: dict[frozenset, object] = {}
-        self._fsq: dict[tuple, object] = {}
-        self._quotients: dict[frozenset, tuple["GroupContext", Homomorphism]] = {}
-        self._hypercenter: dict[str, Group] = {}
-        self._residual: dict[str, Group] = {}
-        self._hyper_preimage: dict[tuple[frozenset, str], frozenset] = {}
-        self._preds: dict[tuple[frozenset, str], bool] = {}
-        self._named: dict = {}
-        self._chief_pairs: Optional[tuple[tuple[Group, Group], ...]] = None
+        # table name -> key -> value; tables are created on first use
+        self._memo: dict[str, dict] = {}
+
+    def memo(self, table: str, key, compute: Callable[[], T]) -> T:
+        """The value under `key` in `table`, from `compute()` on first use."""
+        entries = self._memo.get(table)
+        if entries is None:
+            entries = self._memo[table] = {}
+        value = entries.get(key, _MISSING)
+        if value is _MISSING:
+            value = entries[key] = compute()
+        return value
 
     # ------------------------------------------------------------------
     # subgroup registry
@@ -101,32 +108,26 @@ class GroupContext:
     # ------------------------------------------------------------------
     # conjugacy classes of elements
 
+    @_memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
-        if self._conj_classes is None:
-            gens = self.group.generators
-            seen: set[Permutation] = set()
-            classes = []
-            for e in self.group.elements():
-                if e in seen:
-                    continue
-                orbit = {e}
-                queue = [e]
-                while queue:
-                    x = queue.pop()
-                    for g in gens:
-                        y = g.inverse() * x * g
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                seen |= orbit
-                classes.append(frozenset(orbit))
-            self._conj_classes = tuple(classes)
-            self._class_of = {e: i for i, c in enumerate(classes) for e in c}
-        return self._conj_classes
-
-    def class_of(self, e: Permutation) -> frozenset:
-        self.conjugacy_classes()
-        return self._conj_classes[self._class_of[e]]
+        gens = self.group.generators
+        seen: set[Permutation] = set()
+        classes = []
+        for e in self.group.elements():
+            if e in seen:
+                continue
+            orbit = {e}
+            queue = [e]
+            while queue:
+                x = queue.pop()
+                for g in gens:
+                    y = g.inverse() * x * g
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            seen |= orbit
+            classes.append(frozenset(orbit))
+        return tuple(classes)
 
     # ------------------------------------------------------------------
     # normal subgroups
@@ -147,41 +148,31 @@ class GroupContext:
                         changed = True
         return self.subgroup(elems)
 
-    def normal_closure(self, H: Group) -> Group:
-        gens = set()
-        for g in H.generators:
-            gens |= self.class_of(g)
-        if not gens:
-            return self.trivial_subgroup()
-        return self.generated(sorted(gens))
-
+    @_memoized
     def normal_subgroups(self) -> tuple[Group, ...]:
         """All normal subgroups, sorted by (order, element key)."""
-        if self._normals is None:
-            gens = self.group.generators
-            if all(a * b == b * a for a in gens for b in gens):
-                # abelian: every subgroup is normal
-                self._normals = self.all_subgroups()
-                return self._normals
-            classes = sorted(self.conjugacy_classes(),
-                             key=lambda c: (len(c), min(p.images for p in c)))
-            triv = self.trivial_subgroup()
-            found: dict[frozenset, Group] = {triv.key: triv}
-            worklist = [triv]
-            while worklist:
-                N = worklist.pop()
-                nset = N.element_set()
-                for cls in classes:
-                    if cls <= nset:
-                        continue
-                    # <N u cls> = <N.generators u cls>; keep the generating
-                    # set small so the closure BFS stays linear in |M|
-                    M = self.generated(tuple(N.generators) + tuple(sorted(cls)))
-                    if M.key not in found:
-                        found[M.key] = M
-                        worklist.append(M)
-            self._normals = tuple(sorted(found.values(), key=subgroup_sort_key))
-        return self._normals
+        gens = self.group.generators
+        if all(a * b == b * a for a in gens for b in gens):
+            # abelian: every subgroup is normal
+            return self.all_subgroups()
+        classes = sorted(self.conjugacy_classes(),
+                         key=lambda c: (len(c), min(p.images for p in c)))
+        triv = self.trivial_subgroup()
+        found: dict[frozenset, Group] = {triv.key: triv}
+        worklist = [triv]
+        while worklist:
+            N = worklist.pop()
+            nset = N.element_set()
+            for cls in classes:
+                if cls <= nset:
+                    continue
+                # <N u cls> = <N.generators u cls>; keep the generating
+                # set small so the closure BFS stays linear in |M|
+                M = self.generated(tuple(N.generators) + tuple(sorted(cls)))
+                if M.key not in found:
+                    found[M.key] = M
+                    worklist.append(M)
+        return tuple(sorted(found.values(), key=subgroup_sort_key))
 
     def minimal_normal_subgroups(self) -> tuple[Group, ...]:
         normals = [N for N in self.normal_subgroups() if N.order > 1]
@@ -196,112 +187,100 @@ class GroupContext:
     # ------------------------------------------------------------------
     # the full subgroup lattice
 
+    @_memoized
     def all_subgroups(self) -> tuple[Group, ...]:
         """Every subgroup, by bottom-up join closure seeded with cyclic subgroups."""
-        if self._subgroups is None:
-            parent = self._parent
-            if parent is not None and parent.group.degree == self.group.degree:
-                mine = self.group.element_set()
-                self._subgroups = tuple(
-                    H for H in parent.all_subgroups()
-                    if H.element_set() <= mine)
-                return self._subgroups
-            from . import cache as _cache
-            if _cache.enabled():
-                cached = _cache.load_lattice(self.group)
-                if cached is not None:
-                    for H in cached:
-                        self._registry.setdefault(H.key, H)
-                    self._subgroups = tuple(self._registry[H.key] for H in cached)
-                    return self._subgroups
-            degree = self.group.degree
-            cyclics: dict[frozenset, Group] = {}
-            ident = identity(degree)
-            cyclics[frozenset((ident.images,))] = self.trivial_subgroup()
-            for e in self.group.elements():
-                if e.is_identity():
+        parent = self._parent
+        if parent is not None and parent.group.degree == self.group.degree:
+            mine = self.group.element_set()
+            return tuple(H for H in parent.all_subgroups()
+                         if H.element_set() <= mine)
+        from . import cache as _cache
+        if _cache.enabled():
+            cached = _cache.load_lattice(self.group)
+            if cached is not None:
+                for H in cached:
+                    self._registry.setdefault(H.key, H)
+                return tuple(self._registry[H.key] for H in cached)
+        degree = self.group.degree
+        cyclics: dict[frozenset, Group] = {}
+        ident = identity(degree)
+        cyclics[frozenset((ident.images,))] = self.trivial_subgroup()
+        for e in self.group.elements():
+            if e.is_identity():
+                continue
+            # enumerate the powers of e directly; build a Group only
+            # once per distinct cyclic subgroup
+            powers = {e.images}
+            x = e * e
+            while x.images not in powers:
+                powers.add(x.images)
+                x = x * e
+            powers.add(ident.images)
+            ckey = frozenset(powers)
+            if ckey not in cyclics:
+                cyclics[ckey] = self.generated([e])
+        seeds = sorted(cyclics.values(), key=subgroup_sort_key)
+        found: dict[frozenset, Group] = {H.key: H for H in seeds}
+        worklist = list(seeds)
+        while worklist:
+            H = worklist.pop()
+            hset = H.element_set()
+            for C in seeds:
+                if C.element_set() <= hset:
                     continue
-                # enumerate the powers of e directly; build a Group only
-                # once per distinct cyclic subgroup
-                powers = {e.images}
-                x = e * e
-                while x.images not in powers:
-                    powers.add(x.images)
-                    x = x * e
-                powers.add(ident.images)
-                ckey = frozenset(powers)
-                if ckey not in cyclics:
-                    cyclics[ckey] = self.generated([e])
-            seeds = sorted(cyclics.values(), key=subgroup_sort_key)
-            found: dict[frozenset, Group] = {H.key: H for H in seeds}
-            worklist = list(seeds)
-            while worklist:
-                H = worklist.pop()
-                hset = H.element_set()
-                for C in seeds:
-                    if C.element_set() <= hset:
-                        continue
-                    gens = list(H.generators) + list(C.generators)
-                    J = self.subgroup(closure(degree, gens))
-                    if J.key not in found:
-                        found[J.key] = J
-                        worklist.append(J)
-            self._subgroups = tuple(sorted(found.values(), key=subgroup_sort_key))
-            if _cache.enabled():
-                _cache.store_lattice(self.group, self._subgroups)
-        return self._subgroups
+                gens = list(H.generators) + list(C.generators)
+                J = self.subgroup(closure(degree, gens))
+                if J.key not in found:
+                    found[J.key] = J
+                    worklist.append(J)
+        subgroups = tuple(sorted(found.values(), key=subgroup_sort_key))
+        if _cache.enabled():
+            _cache.store_lattice(self.group, subgroups)
+        return subgroups
 
+    @_memoized
     def subgroup_classes(self) -> tuple[tuple[Group, ...], ...]:
         """Conjugacy classes of subgroups, deterministically ordered."""
-        if self._subgroup_classes is None:
-            all_subs = {H.key: H for H in self.all_subgroups()}
-            seen: set[frozenset] = set()
-            classes = []
-            for H in self.all_subgroups():
-                if H.key in seen:
-                    continue
-                orbit = {H.key}
-                queue = [H]
-                while queue:
-                    X = queue.pop()
-                    for g in self.group.generators:
-                        Y = frozenset((g.inverse() * x * g).images
-                                      for x in X.elements())
-                        if Y not in orbit:
-                            orbit.add(Y)
-                            queue.append(all_subs[Y])
-                seen |= orbit
-                members = tuple(sorted((all_subs[k] for k in orbit),
-                                       key=subgroup_sort_key))
-                classes.append(members)
-            classes.sort(key=lambda ms: subgroup_sort_key(ms[0]))
-            self._subgroup_classes = tuple(classes)
-            for i, members in enumerate(classes):
-                for m in members:
-                    self._class_index_of[m.key] = i
-        return self._subgroup_classes
-
-    def class_rep_of(self, H: Group) -> Group:
-        self.subgroup_classes()
-        return self._subgroup_classes[self._class_index_of[H.key]][0]
+        all_subs = {H.key: H for H in self.all_subgroups()}
+        seen: set[frozenset] = set()
+        classes = []
+        for H in self.all_subgroups():
+            if H.key in seen:
+                continue
+            orbit = {H.key}
+            queue = [H]
+            while queue:
+                X = queue.pop()
+                for g in self.group.generators:
+                    Y = frozenset((g.inverse() * x * g).images
+                                  for x in X.elements())
+                    if Y not in orbit:
+                        orbit.add(Y)
+                        queue.append(all_subs[Y])
+            seen |= orbit
+            members = tuple(sorted((all_subs[k] for k in orbit),
+                                   key=subgroup_sort_key))
+            classes.append(members)
+        classes.sort(key=lambda ms: subgroup_sort_key(ms[0]))
+        return tuple(classes)
 
     def subgroups_of(self, K: Group) -> tuple[Group, ...]:
         kset = K.element_set()
         return tuple(H for H in self.all_subgroups()
                      if H.element_set() <= kset)
 
+    @_memoized
     def maximal_subgroups_of(self, K: Group) -> tuple[Group, ...]:
         """Maximal proper subgroups of K, read off the ambient lattice."""
-        if K.key not in self._maximals:
-            subs = [H for H in self.subgroups_of(K) if H.order < K.order]
-            maximals = []
-            for H in subs:
-                hset = H.element_set()
-                if not any(M.order > H.order and hset < M.element_set()
-                           for M in subs):
-                    maximals.append(H)
-            self._maximals[K.key] = tuple(maximals)
-        return self._maximals[K.key]
+        subs = [H for H in self.subgroups_of(K) if H.order < K.order]
+        maximals = []
+        for H in subs:
+            hset = H.element_set()
+            if not any(M.order > H.order and hset < M.element_set()
+                       for M in subs):
+                maximals.append(H)
+        return tuple(maximals)
 
     def n_maximal_subgroups_of(self, K: Group, n: int) -> tuple[Group, ...]:
         if n < 1:
@@ -319,29 +298,10 @@ class GroupContext:
     # Sylow and Hall subgroups
 
     def primes(self) -> tuple[int, ...]:
-        n = self.group.order
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return tuple(out)
-
-    def p_part(self, p: int) -> int:
-        n = self.group.order
-        pp = 1
-        while n % p == 0:
-            pp *= p
-            n //= p
-        return pp
+        return prime_divisors(self.group.order)
 
     def sylow_all(self, p: int) -> tuple[Group, ...]:
-        pp = self.p_part(p)
+        pp = p_part(self.group.order, p)
         if pp == 1:
             return (self.trivial_subgroup(),)
         return tuple(H for H in self.all_subgroups() if H.order == pp)
@@ -350,11 +310,7 @@ class GroupContext:
         return self.sylow_all(p)[0]
 
     def sylow_of_subgroup(self, K: Group, p: int) -> tuple[Group, ...]:
-        n = K.order
-        pp = 1
-        while n % p == 0:
-            pp *= p
-            n //= p
+        pp = p_part(K.order, p)
         if pp == 1:
             return (self.trivial_subgroup(),)
         kset = K.element_set()
@@ -364,175 +320,143 @@ class GroupContext:
     def hall(self, pi) -> tuple[Optional[Group], bool]:
         pi = frozenset(pi)
         part = 1
-        n = self.group.order
         for p in self.primes():
             if p in pi:
-                part *= self.p_part(p)
+                part *= p_part(self.group.order, p)
         members = [H for H in self.all_subgroups() if H.order == part]
         if not members:
             return None, True
-        self.subgroup_classes()
-        class_ids = {self._class_index_of[H.key] for H in members}
-        return members[0], len(class_ids) == 1
+        # the members of a class share one order
+        classes = [c for c in self.subgroup_classes() if c[0].order == part]
+        return members[0], len(classes) == 1
 
     # ------------------------------------------------------------------
     # named subgroups
 
+    @_memoized
     def center(self) -> Group:
-        if "center" not in self._named:
-            gens = self.group.generators
-            elems = [e for e in self.group.elements()
-                     if all(e * g == g * e for g in gens)]
-            self._named["center"] = self.subgroup(elems)
-        return self._named["center"]
+        gens = self.group.generators
+        return self.subgroup([e for e in self.group.elements()
+                              if all(e * g == g * e for g in gens)])
 
+    @_memoized
     def frattini(self) -> Group:
-        if "frattini" not in self._named:
-            maxima = self.maximal_subgroups_of(self.group)
-            if not maxima:
-                self._named["frattini"] = self.group
-            else:
-                inter = frozenset(self.group.elements())
-                for M in maxima:
-                    inter &= M.element_set()
-                self._named["frattini"] = self.subgroup(inter)
-        return self._named["frattini"]
+        maxima = self.maximal_subgroups_of(self.group)
+        if not maxima:
+            return self.group
+        inter = frozenset(self.group.elements())
+        for M in maxima:
+            inter &= M.element_set()
+        return self.subgroup(inter)
 
     def O_p(self, p: int) -> Group:
-        key = ("O_p", p)
-        if key not in self._named:
-            best = self.trivial_subgroup()
-            for N in self.normal_subgroups():
-                if _is_prime_power(N.order, p) and N.order > best.order:
-                    best = N
-            self._named[key] = best
-        return self._named[key]
+        # a normal subgroup of order 1 counts as a p-group here
+        return self.memo("named", ("O_p", p), lambda: self._largest_normal(
+            lambda n: p_part(n, p) == n))
 
     def O_pi_prime(self, pi) -> Group:
         pi = frozenset(pi)
-        key = ("O_pi_prime", tuple(sorted(pi)))
-        if key not in self._named:
-            best = self.trivial_subgroup()
-            for N in self.normal_subgroups():
-                if all(q not in pi for q in _prime_divisors(N.order)):
-                    if N.order > best.order:
-                        best = N
-            self._named[key] = best
-        return self._named[key]
+        return self.memo("named", ("O_pi_prime", tuple(sorted(pi))),
+                         lambda: self._largest_normal(lambda n: all(
+                             q not in pi for q in prime_divisors(n))))
 
     def O_pi(self, pi) -> Group:
         """Largest normal pi-subgroup."""
         pi = frozenset(pi)
-        key = ("O_pi", tuple(sorted(pi)))
-        if key not in self._named:
-            best = self.trivial_subgroup()
-            for N in self.normal_subgroups():
-                if all(q in pi for q in _prime_divisors(N.order)):
-                    if N.order > best.order:
-                        best = N
-            self._named[key] = best
-        return self._named[key]
+        return self.memo("named", ("O_pi", tuple(sorted(pi))),
+                         lambda: self._largest_normal(lambda n: all(
+                             q in pi for q in prime_divisors(n))))
+
+    def _largest_normal(self, order_ok: Callable[[int], bool]) -> Group:
+        """The first largest normal subgroup whose order passes order_ok."""
+        best = self.trivial_subgroup()
+        for N in self.normal_subgroups():
+            if order_ok(N.order) and N.order > best.order:
+                best = N
+        return best
 
     def O_upper_p(self, p: int) -> Group:
         """Smallest normal subgroup with p-group quotient: <all p'-elements>."""
-        key = ("O_upper_p", p)
-        if key not in self._named:
-            pprime = [e for e in self.group.elements() if e.order() % p != 0]
-            self._named[key] = self.generated(pprime)
-        return self._named[key]
+        return self.memo("named", ("O_upper_p", p), lambda: self.generated(
+            [e for e in self.group.elements() if e.order() % p != 0]))
 
+    @_memoized
     def fitting(self) -> Group:
-        if "fitting" not in self._named:
-            gens: list[Permutation] = []
-            for p in self.primes():
-                gens.extend(self.O_p(p).generators)
-            self._named["fitting"] = (self.generated(gens) if gens
-                                      else self.trivial_subgroup())
-        return self._named["fitting"]
+        gens: list[Permutation] = []
+        for p in self.primes():
+            gens.extend(self.O_p(p).generators)
+        return self.generated(gens) if gens else self.trivial_subgroup()
 
+    @_memoized
     def socle(self) -> Group:
-        if "socle" not in self._named:
-            gens: list[Permutation] = []
-            for N in self.minimal_normal_subgroups():
-                gens.extend(N.generators)
-            self._named["socle"] = (self.generated(gens) if gens
-                                    else self.trivial_subgroup())
-        return self._named["socle"]
-
-    # components / layer / F* live in structure.py via these caches
-    def named_cache(self) -> dict:
-        return self._named
+        gens: list[Permutation] = []
+        for N in self.minimal_normal_subgroups():
+            gens.extend(N.generators)
+        return self.generated(gens) if gens else self.trivial_subgroup()
 
     # ------------------------------------------------------------------
     # core and subnormality
 
+    @_memoized
     def core(self, H: Group) -> Group:
         """Largest subgroup of H normal in the ambient group."""
-        if H.key not in self._cores:
-            if not H.is_subgroup_of(self.group):
-                raise NotASubgroupError("H is not a subgroup of G")
-            hset = H.element_set()
-            best = self.trivial_subgroup()
-            for N in self.normal_subgroups():
-                if N.order > best.order and N.element_set() <= hset:
-                    best = N
-            self._cores[H.key] = best
-        return self._cores[H.key]
+        if not H.is_subgroup_of(self.group):
+            raise NotASubgroupError("H is not a subgroup of G")
+        hset = H.element_set()
+        best = self.trivial_subgroup()
+        for N in self.normal_subgroups():
+            if N.order > best.order and N.element_set() <= hset:
+                best = N
+        return best
 
+    @_memoized
     def is_subnormal(self, H: Group) -> tuple[bool, int]:
-        if H.key not in self._subnormal:
-            if not H.is_subgroup_of(self.group):
-                raise NotASubgroupError("H is not a subgroup of G")
-            K = self.group
-            defect = 0
-            while K.key != H.key:
-                N = self.normal_closure_in(K, H)
-                if N.key == K.key:
-                    self._subnormal[H.key] = (False, defect)
-                    break
-                K = N
-                defect += 1
-            else:
-                self._subnormal[H.key] = (True, defect)
-        return self._subnormal[H.key]
+        if not H.is_subgroup_of(self.group):
+            raise NotASubgroupError("H is not a subgroup of G")
+        K = self.group
+        defect = 0
+        while K.key != H.key:
+            N = self.normal_closure_in(K, H)
+            if N.key == K.key:
+                return False, defect
+            K = N
+            defect += 1
+        return True, defect
 
     # ------------------------------------------------------------------
     # quotients
 
+    @_memoized
     def quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
-        if N.key not in self._quotients:
-            if N.order == 1:
-                # G/1 is G itself: reuse this context instead of a coset action
-                ident = Homomorphism(self.group, self.group,
-                                     self.group.generators,
-                                     {e: e for e in self.group.elements()})
-                self._quotients[N.key] = (self, ident)
-            else:
-                res = quotient(self.group, N)
-                self._quotients[N.key] = (context_of(res.group), res.epimorphism)
-        return self._quotients[N.key]
+        if N.order == 1:
+            # G/1 is G itself: reuse this context instead of a coset action
+            ident = Homomorphism(self.group, self.group,
+                                 self.group.generators,
+                                 {e: e for e in self.group.elements()})
+            return self, ident
+        res = quotient(self.group, N)
+        return context_of(res.group), res.epimorphism
 
     # ------------------------------------------------------------------
     # chief factors
 
+    @_memoized
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""
-        if self._chief_pairs is None:
-            normals = self.normal_subgroups()
-            sets = {N.key: N.element_set() for N in normals}
-            pairs = []
-            for K in normals:
-                for H in normals:
-                    if H.order <= K.order or not sets[K.key] < sets[H.key]:
-                        continue
-                    if any(L.key != K.key and L.key != H.key
-                           and sets[K.key] < sets[L.key] < sets[H.key]
-                           for L in normals):
-                        continue
-                    pairs.append((K, H))
-            self._chief_pairs = tuple(pairs)
-        return self._chief_pairs
+        normals = self.normal_subgroups()
+        sets = {N.key: N.element_set() for N in normals}
+        pairs = []
+        for K in normals:
+            for H in normals:
+                if H.order <= K.order or not sets[K.key] < sets[H.key]:
+                    continue
+                if any(L.key != K.key and L.key != H.key
+                       and sets[K.key] < sets[L.key] < sets[H.key]
+                       for L in normals):
+                    continue
+                pairs.append((K, H))
+        return tuple(pairs)
 
     def chief_centralizer(self, lower: Group, upper: Group) -> Group:
         lset = lower.element_set()
@@ -542,47 +466,3 @@ class GroupContext:
             if all((ginv * h * g) * h.inverse() in lset for h in upper.generators):
                 out.append(g)
         return self.subgroup(out)
-
-    # ------------------------------------------------------------------
-    # cached predicate store (filled in by structure.py)
-
-    def pred_cache(self) -> dict:
-        return self._preds
-
-    def sperm_cache(self) -> dict:
-        return self._sperm
-
-    def fsq_cache(self) -> dict:
-        return self._fsq
-
-    def hypercenter_cache(self) -> dict:
-        return self._hypercenter
-
-    def residual_cache(self) -> dict:
-        return self._residual
-
-    def hyper_preimage_cache(self) -> dict:
-        return self._hyper_preimage
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    if n == 1:
-        return True
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)

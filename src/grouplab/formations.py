@@ -9,18 +9,16 @@ F-hypercenter and the F-residual.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .context import GroupContext, context_of, subgroup_sort_key
 from .errors import BoundExceededError
 from .groups import Group, MAX_DEGREE, MAX_ORDER, quotient, semidirect_product
+from .primes import is_prime, prime_divisors
 from .structure import (
     ChiefFactor,
     is_nilpotent,
     is_soluble,
     is_supersoluble,
     series,
-    _is_prime,
 )
 
 __all__ = [
@@ -50,17 +48,13 @@ def in_formation(G: Group, formation: str) -> bool:
 
 
 def _derived_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    named = ctx.named_cache()
-    if "derived_series" not in named:
-        named["derived_series"] = series(ctx.group, "derived").chain
-    return named["derived_series"]
+    return ctx.memo("named", "derived_series",
+                    lambda: series(ctx.group, "derived").chain)
 
 
 def _lower_central_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    named = ctx.named_cache()
-    if "lower_central_series" not in named:
-        named["lower_central_series"] = series(ctx.group, "lower_central").chain
-    return named["lower_central_series"]
+    return ctx.memo("named", "lower_central_series",
+                    lambda: series(ctx.group, "lower_central").chain)
 
 
 def _factor_abelian(lower: Group, upper: Group) -> bool:
@@ -80,9 +74,10 @@ def is_f_central(G: Group, cf: ChiefFactor, formation: str) -> bool:
     ctx = context_of(G)
     forder = cf.order
     if formation == "N":
-        return cf.centralizer.order == G.order and _is_prime_power(forder)
+        return (cf.centralizer.order == G.order
+                and len(prime_divisors(forder)) == 1)
     if formation == "U":
-        return _is_prime(forder)
+        return is_prime(forder)
     if formation == "S":
         if not _factor_abelian(cf.lower, cf.upper):
             return False
@@ -128,49 +123,50 @@ def f_hypercenter(G: Group, formation: str) -> Group:
     """Z_inf^F(G), computed by ascent through F-central minimal normal
     subgroups of successive quotients."""
     ctx = context_of(G)
-    cache = ctx.hypercenter_cache()
-    if formation not in cache:
-        from .structure import chief_factors  # local to avoid cycle at import
+    return ctx.memo("hypercenter", formation,
+                    lambda: _hypercenter_ascent(ctx, formation))
 
-        Z = ctx.trivial_subgroup()
-        normals = ctx.normal_subgroups()
-        while True:
-            zset = Z.element_set()
-            gens = list(Z.generators)
-            grew = False
-            for M in normals:
-                if M.order <= Z.order or not zset < M.element_set():
-                    continue
-                if any(zset < L.element_set() < M.element_set()
-                       for L in normals):
-                    continue
-                cf = ChiefFactor(upper=M, lower=Z,
-                                 centralizer=ctx.chief_centralizer(Z, M),
-                                 order=M.order // Z.order)
-                if is_f_central(G, cf, formation):
-                    gens.extend(M.generators)
-                    grew = True
-            if not grew:
-                break
-            Z = ctx.generated(gens)
-        cache[formation] = Z
-    return cache[formation]
+
+def _hypercenter_ascent(ctx: GroupContext, formation: str) -> Group:
+    G = ctx.group
+    Z = ctx.trivial_subgroup()
+    normals = ctx.normal_subgroups()
+    while True:
+        zset = Z.element_set()
+        gens = list(Z.generators)
+        grew = False
+        for M in normals:
+            if M.order <= Z.order or not zset < M.element_set():
+                continue
+            if any(zset < L.element_set() < M.element_set()
+                   for L in normals):
+                continue
+            cf = ChiefFactor(upper=M, lower=Z,
+                             centralizer=ctx.chief_centralizer(Z, M),
+                             order=M.order // Z.order)
+            if is_f_central(G, cf, formation):
+                gens.extend(M.generators)
+                grew = True
+        if not grew:
+            return Z
+        Z = ctx.generated(gens)
 
 
 def f_residual(G: Group, formation: str) -> Group:
     """G^F: the smallest normal subgroup with quotient in F (exhaustive scan)."""
     ctx = context_of(G)
-    cache = ctx.residual_cache()
-    if formation not in cache:
-        qualifying = [N for N in ctx.normal_subgroups()
-                      if quotient_in_formation(ctx, N, formation)]
-        best = min(qualifying, key=subgroup_sort_key)
-        bset = best.element_set()
-        if not all(bset <= N.element_set() for N in qualifying):
-            raise AssertionError(
-                "residual is not unique")  # pragma: no cover
-        cache[formation] = best
-    return cache[formation]
+    return ctx.memo("residual", formation,
+                    lambda: _residual_scan(ctx, formation))
+
+
+def _residual_scan(ctx: GroupContext, formation: str) -> Group:
+    qualifying = [N for N in ctx.normal_subgroups()
+                  if quotient_in_formation(ctx, N, formation)]
+    best = min(qualifying, key=subgroup_sort_key)
+    bset = best.element_set()
+    if not all(bset <= N.element_set() for N in qualifying):
+        raise AssertionError("residual is not unique")  # pragma: no cover
+    return best
 
 
 def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
@@ -181,7 +177,7 @@ def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
     if formation == "N":
         return any(t.element_set() <= nset for t in _lower_central_terms(ctx))
     if formation == "U":
-        return all(_is_prime(upper.order // lower.order)
+        return all(is_prime(upper.order // lower.order)
                    for lower, upper in ctx.chief_pairs()
                    if nset <= lower.element_set())
     raise ValueError(f"unknown formation: {formation!r}")
@@ -190,26 +186,11 @@ def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
 def hypercenter_preimage(G: Group, N: Group, formation: str) -> frozenset:
     """Elements of G mapping into Z_inf^F(G/N), for normal N."""
     ctx = context_of(G)
-    cache = ctx.hyper_preimage_cache()
-    k = (N.key, formation)
-    if k not in cache:
+
+    def compute() -> frozenset:
         if N.order == 1:
-            cache[k] = f_hypercenter(G, formation).element_set()
-        else:
-            qctx, hom = ctx.quotient_ctx(N)
-            Z = f_hypercenter(qctx.group, formation)
-            cache[k] = hom.preimage_elements(Z)
-    return cache[k]
+            return f_hypercenter(G, formation).element_set()
+        qctx, hom = ctx.quotient_ctx(N)
+        return hom.preimage_elements(f_hypercenter(qctx.group, formation))
 
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
+    return ctx.memo("hyper_preimage", (N.key, formation), compute)

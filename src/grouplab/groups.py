@@ -12,9 +12,8 @@ groups.  Quotient groups act on cosets and may have degree up to the index
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -32,14 +31,11 @@ __all__ = [
     "Homomorphism",
     "SetProductResult",
     "QuotientResult",
-    "generate",
     "trivial_group",
-    "compose",
     "set_product",
     "quotient",
     "direct_product",
     "semidirect_product",
-    "localizer",
 ]
 
 MAX_DEGREE = 64
@@ -162,12 +158,6 @@ class Group:
     def order(self) -> int:
         return self.cached_order
 
-    def is_trivial(self) -> bool:
-        return self.cached_order == 1
-
-    def identity_element(self) -> Permutation:
-        return identity(self.degree)
-
     def __contains__(self, perm: Permutation) -> bool:
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
@@ -234,18 +224,8 @@ class Group:
         return f"Group(degree={self.degree}, order={self.cached_order}, gens=[{gens}])"
 
 
-def generate(degree: int, gens: Iterable[Permutation]) -> Group:
-    """Build a group from generators; the trivial group for an empty list."""
-    return Group(degree, gens)
-
-
 def trivial_group(degree: int = 1) -> Group:
     return Group(degree, [], _skip_degree_check=True)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q."""
-    return p * q
 
 
 def from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
@@ -354,9 +334,6 @@ class Homomorphism:
     def __call__(self, perm: Permutation) -> Permutation:
         return self._table()[perm]
 
-    def image_group(self) -> Group:
-        return Group(self.target.degree, self.images, _skip_degree_check=True)
-
     def image_of_subgroup(self, H: Group) -> Group:
         table = self._table()
         return Group(self.target.degree, [table[g] for g in H.generators],
@@ -365,13 +342,6 @@ class Homomorphism:
     def preimage_elements(self, S: Group) -> frozenset[Permutation]:
         target_set = S.element_set()
         return frozenset(e for e, fe in self._table().items() if fe in target_set)
-
-    def is_consistent(self) -> bool:
-        """Multiplicative on every pair of source elements (desk-scale check)."""
-        table = self._table()
-        elems = self.source.elements()
-        return all(table[a * b] == table[a] * table[b]
-                   for a in elems for b in elems)
 
 
 @dataclass(frozen=True)
@@ -493,24 +463,3 @@ def centralizer(G: Group, target) -> Group:
     elems = [g for g in G.elements() if all(g * t == t * g for t in targets)]
     return from_elements(G.degree, elems)
 
-
-def normalizer(G: Group, H: Group) -> Group:
-    _require_subgroup(H, G, "target")
-    hset = H.element_set()
-    elems = []
-    for g in G.elements():
-        ginv = g.inverse()
-        if all(ginv * h * g in hset for h in H.generators):
-            elems.append(g)
-    return from_elements(G.degree, elems)
-
-
-def localizer(G: Group, target, kind: str) -> Group:
-    """Exact centralizer or normalizer of an element or subgroup of G."""
-    if kind == "centralizer":
-        return centralizer(G, target)
-    if kind == "normalizer":
-        if isinstance(target, Permutation):
-            target = Group(G.degree, [target], _skip_degree_check=True)
-        return normalizer(G, target)
-    raise ValueError(f"unknown localizer kind: {kind!r}")

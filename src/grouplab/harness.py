@@ -16,11 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogEntry
-from .context import _CONTEXTS
+from .context import clear_contexts
 from .errors import BoundExceededError
 from .groups import Group
 from .perms import from_cycles, to_cycles
-from .theorems import THEOREM_IDS, params_for, verify_case
+from .theorems import IMPORTED_IDS, THEOREM_IDS, params_for, verify_case
 
 __all__ = ["SCHEMA", "run_suite", "report_body_without_timing",
            "format_summary", "select_theorems"]
@@ -73,7 +73,7 @@ def _run_group(job: _Job) -> dict:
     this process evaluated earlier — that is what makes reports
     byte-identical across worker counts and catalog orderings.
     """
-    _CONTEXTS.clear()
+    clear_contexts()
     G = Group(job.degree, [from_cycles(t, job.degree) for t in job.gens])
     cases = []
     for tid in job.theorem_ids:
@@ -83,7 +83,7 @@ def _run_group(job: _Job) -> dict:
             except BoundExceededError as exc:
                 cases.append({
                     "theorem": tid, "params": dict(params),
-                    "direction": "", "imported": tid in {"L2.8", "L2.9"},
+                    "direction": "", "imported": tid in IMPORTED_IDS,
                     "hypothesis": False, "conclusion": False,
                     "verdict": "skipped", "witnesses": [],
                     "error": str(exc),

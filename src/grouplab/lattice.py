@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import GroupContext, context_of, subgroup_sort_key
+from .context import context_of, subgroup_sort_key
 from .errors import BoundExceededError
 from .groups import Group, MAX_ORDER
 

@@ -7,10 +7,9 @@ The composition convention is fixed once and for all: ``(p * q)`` means
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CycleParseError, DegreeMismatchError
 
@@ -159,9 +158,3 @@ def to_cycles(perm: Permutation) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycles)
-
-
-def all_permutations(degree: int) -> Iterator[Permutation]:
-    """Every permutation of the given degree (test oracle helper)."""
-    for images in itertools.permutations(range(degree)):
-        yield Permutation(images)

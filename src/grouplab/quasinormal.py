@@ -55,10 +55,7 @@ def is_s_permutable(G: Group, H: Group) -> Verdict:
     """
     _require_subgroup(H, G)
     ctx = context_of(G)
-    cache = ctx.sperm_cache()
-    if H.key not in cache:
-        cache[H.key] = _s_permutable_uncached(ctx, H)
-    return cache[H.key]
+    return ctx.memo("sperm", H.key, lambda: _s_permutable_uncached(ctx, H))
 
 
 def _s_permutable_uncached(ctx, H: Group) -> Verdict:
@@ -85,11 +82,8 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
     (ascending) order; the witness is the smallest qualifying T."""
     _require_subgroup(H, G)
     ctx = context_of(G)
-    cache = ctx.fsq_cache()
-    k = ("main", H.key, formation)
-    if k not in cache:
-        cache[k] = _fsq_scan(ctx, H, formation, require_core_in_t=False)
-    return cache[k]
+    return ctx.memo("fsq", (H.key, formation), lambda: _fsq_scan(
+        ctx, H, formation, require_core_in_t=False))
 
 
 def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
@@ -97,11 +91,8 @@ def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
     containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
     _require_subgroup(H, G)
     ctx = context_of(G)
-    cache = ctx.fsq_cache()
-    k = ("variant", H.key, formation)
-    if k not in cache:
-        cache[k] = _fsq_scan(ctx, H, formation, require_core_in_t=True)
-    return cache[k]
+    return ctx.memo("fsq_variant", (H.key, formation), lambda: _fsq_scan(
+        ctx, H, formation, require_core_in_t=True))
 
 
 def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict:
@@ -146,11 +137,8 @@ def has_f_supplement(G: Group, H: Group, kind: str,
     """
     _require_subgroup(H, G)
     ctx = context_of(G)
-    cache = ctx.fsq_cache()
-    key = ("supp", H.key, kind, p)
-    if key not in cache:
-        cache[key] = _supplement_scan(ctx, H, kind, p)
-    return cache[key]
+    return ctx.memo("supplement", (H.key, kind, p),
+                    lambda: _supplement_scan(ctx, H, kind, p))
 
 
 def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import GroupContext, context_of, subgroup_sort_key
-from .groups import Group, closure
+from .groups import Group
 from .perms import Permutation
+from .primes import is_prime, p_part
 
 __all__ = [
     "Series",
@@ -27,12 +28,6 @@ __all__ = [
 class Series:
     kind: str
     chain: tuple[Group, ...]
-
-    def factor_orders(self) -> tuple[int, ...]:
-        orders = [g.order for g in self.chain]
-        if orders and orders[0] < orders[-1]:  # ascending
-            return tuple(b // a for a, b in zip(orders, orders[1:]))
-        return tuple(a // b for a, b in zip(orders, orders[1:]))
 
 
 @dataclass(frozen=True)
@@ -134,13 +129,6 @@ def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
 # ----------------------------------------------------------------------
 # predicates
 
-def _pred(ctx: GroupContext, name, fn) -> bool:
-    cache = ctx.pred_cache()
-    k = (ctx.group.key, name)
-    if k not in cache:
-        cache[k] = fn()
-    return cache[k]
-
 
 def is_abelian(G: Group) -> bool:
     gens = G.generators
@@ -153,23 +141,20 @@ def is_cyclic(G: Group) -> bool:
 
 
 def is_p_group(G: Group, p: int) -> bool:
-    n = G.order
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_part(G.order, p) == G.order
 
 
 def is_soluble(G: Group) -> bool:
     ctx = context_of(G)
-    return _pred(ctx, "soluble",
-                 lambda: is_abelian(G)
-                 or series(G, "derived").chain[-1].order == 1)
+    return ctx.memo("pred", "soluble",
+                    lambda: is_abelian(G)
+                    or series(G, "derived").chain[-1].order == 1)
 
 
 def is_perfect(G: Group) -> bool:
     ctx = context_of(G)
-    return _pred(ctx, "perfect",
-                 lambda: derived_subgroup(ctx, G).order == G.order)
+    return ctx.memo("pred", "perfect",
+                    lambda: derived_subgroup(ctx, G).order == G.order)
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -179,9 +164,10 @@ def is_nilpotent(G: Group) -> bool:
     def check() -> bool:
         if is_abelian(G):
             return True
-        return all(ctx.O_p(p).order == ctx.p_part(p) for p in ctx.primes())
+        return all(ctx.O_p(p).order == p_part(G.order, p)
+                   for p in ctx.primes())
 
-    return _pred(ctx, "nilpotent", check)
+    return ctx.memo("pred", "nilpotent", check)
 
 
 def is_supersoluble(G: Group) -> bool:
@@ -191,25 +177,26 @@ def is_supersoluble(G: Group) -> bool:
     def check() -> bool:
         if is_abelian(G):
             return True
-        return all(_is_prime(upper.order // lower.order)
+        return all(is_prime(upper.order // lower.order)
                    for lower, upper in ctx.chief_pairs())
 
-    return _pred(ctx, "supersoluble", check)
+    return ctx.memo("pred", "supersoluble", check)
 
 
 def is_p_nilpotent(G: Group, p: int) -> bool:
     """A normal p-complement exists, tested as |O_{p'}(G)| = |G| / p-part."""
-    if p < 2 or not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"invalid prime: {p}")
     ctx = context_of(G)
-    return _pred(ctx, ("p_nilpotent", p),
-                 lambda: ctx.O_pi_prime({p}).order == G.order // ctx.p_part(p))
+    return ctx.memo("pred", ("p_nilpotent", p),
+                    lambda: ctx.O_pi_prime({p}).order
+                    == G.order // p_part(G.order, p))
 
 
 def is_simple(G: Group) -> bool:
     ctx = context_of(G)
-    return _pred(ctx, "simple",
-                 lambda: G.order > 1 and len(ctx.normal_subgroups()) == 2)
+    return ctx.memo("pred", "simple",
+                    lambda: G.order > 1 and len(ctx.normal_subgroups()) == 2)
 
 
 def is_quasisimple(G: Group) -> bool:
@@ -221,7 +208,7 @@ def is_quasisimple(G: Group) -> bool:
         qctx, _ = ctx.quotient_ctx(ctx.center())
         return is_simple(qctx.group)
 
-    return _pred(ctx, "quasisimple", check)
+    return ctx.memo("pred", "quasisimple", check)
 
 
 def is_quasinilpotent(G: Group) -> bool:
@@ -255,57 +242,42 @@ def predicate(G: Group, prop: str, p: Optional[int] = None) -> bool:
 def components(G: Group) -> tuple[Group, ...]:
     """All subnormal quasisimple subgroups."""
     ctx = context_of(G)
-    named = ctx.named_cache()
-    if "components" not in named:
+
+    def compute() -> tuple[Group, ...]:
         if is_soluble(G):
-            named["components"] = ()
-        else:
-            out = []
-            for H in ctx.all_subgroups():
-                if H.order < 60 or is_abelian(H):
-                    continue
-                if not ctx.is_subnormal(H)[0]:
-                    continue
-                if is_quasisimple(_standalone(H)):
-                    out.append(H)
-            named["components"] = tuple(out)
-    return named["components"]
+            return ()
+        out = []
+        for H in ctx.all_subgroups():
+            if H.order < 60 or is_abelian(H):
+                continue
+            if not ctx.is_subnormal(H)[0]:
+                continue
+            if is_quasisimple(H):
+                out.append(H)
+        return tuple(out)
 
-
-def _standalone(H: Group) -> Group:
-    # predicates on a subgroup use its own context; H is already a Group
-    return H
+    return ctx.memo("named", "components", compute)
 
 
 def layer(G: Group) -> Group:
     """E(G): the subgroup generated by all components."""
     ctx = context_of(G)
-    named = ctx.named_cache()
-    if "layer" not in named:
+
+    def compute() -> Group:
         gens: list[Permutation] = []
         for C in components(G):
             gens.extend(C.generators)
-        named["layer"] = ctx.generated(gens) if gens else ctx.trivial_subgroup()
-    return named["layer"]
+        return ctx.generated(gens) if gens else ctx.trivial_subgroup()
+
+    return ctx.memo("named", "layer", compute)
 
 
 def generalized_fitting(G: Group) -> Group:
     """F*(G) = F(G) E(G)."""
     ctx = context_of(G)
-    named = ctx.named_cache()
-    if "generalized_fitting" not in named:
+
+    def compute() -> Group:
         gens = list(ctx.fitting().generators) + list(layer(G).generators)
-        named["generalized_fitting"] = (ctx.generated(gens) if gens
-                                        else ctx.trivial_subgroup())
-    return named["generalized_fitting"]
+        return ctx.generated(gens) if gens else ctx.trivial_subgroup()
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return ctx.memo("named", "generalized_fitting", compute)

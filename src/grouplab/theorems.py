@@ -15,14 +15,11 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from .context import GroupContext, context_of, subgroup_sort_key
-from .formations import (
-    f_hypercenter,
-    in_formation,
-    quotient_in_formation,
-)
+from .context import GroupContext, context_of
+from .formations import FORMATIONS, in_formation, quotient_in_formation
 from .groups import Group, centralizer, product_size, quotient, set_product
 from .perms import to_cycles
+from .primes import is_prime, p_part, prime_divisors
 from .quasinormal import (
     has_f_supplement,
     is_fs_quasinormal,
@@ -41,7 +38,6 @@ from .structure import (
 
 __all__ = ["THEOREM_IDS", "CaseResult", "verify_case", "params_for"]
 
-FORMATIONS = ("N", "U", "S")
 FORMATIONS_OVER_U = ("U", "S")  # the instantiated formations containing U
 
 THEOREM_IDS: tuple[str, ...] = (
@@ -88,30 +84,12 @@ def _gens_json(H: Group) -> dict:
             "generators": [to_cycles(g) for g in H.generators] or ["()"]}
 
 
-def _primes_of(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def _sperm(ctx: GroupContext, H: Group) -> bool:
     return is_s_permutable(ctx.group, H).holds
 
 
 def _fsq(ctx: GroupContext, H: Group, F: str) -> bool:
     return is_fs_quasinormal(ctx.group, H, F).holds
-
-
-def _uqn(ctx: GroupContext, H: Group) -> bool:
-    return is_fs_quasinormal(ctx.group, H, "U").holds
 
 
 def _sperm_subgroups(ctx: GroupContext) -> tuple[Group, ...]:
@@ -121,9 +99,7 @@ def _sperm_subgroups(ctx: GroupContext) -> tuple[Group, ...]:
 def _quotient_p_nilpotent(ctx: GroupContext, E: Group, p: int) -> bool:
     """G/E has a normal p-complement, decided on the normal list of G."""
     index = ctx.group.order // E.order
-    target = index
-    while target % p == 0:
-        target //= p
+    target = index // p_part(index, p)
     eset = E.element_set()
     return any(K.order == E.order * target and eset <= K.element_set()
                for K in ctx.normal_subgroups())
@@ -161,27 +137,16 @@ def _semisimple_nonabelian(T: Group) -> bool:
     mins = tctx.minimal_normal_subgroups()
     for M in mins:
         _sub(tctx, M)
-        if _is_prime(M.order) or not is_simple(M):
+        if is_prime(M.order) or not is_simple(M):
             return False
     return _direct_span_equals(tctx, list(mins), T)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _sylow_maximals(ctx: GroupContext, A: Group, only_noncyclic: bool):
     """(P, M) pairs: M maximal in the Sylow subgroup P of A (optionally only
     non-cyclic P)."""
     out = []
-    for p in _primes_of(A.order):
+    for p in prime_divisors(A.order):
         # one Sylow per prime: the checked predicates are conjugation-invariant
         P = ctx.sylow_of_subgroup(A, p)[0]
         if only_noncyclic and is_cyclic(P):
@@ -206,13 +171,14 @@ def _recheck_fsq(ctx: GroupContext, H: Group, F: str, expected: bool) -> bool:
     return is_fs_quasinormal_variant(ctx.group, H, F).holds == expected
 
 
-def _recheck_sperm_failure(ctx: GroupContext, H: Group, P: Group) -> bool:
-    res = set_product(H, P, ctx.group)
-    return not res.commutes
-
-
 def _recheck_supplement(ctx: GroupContext, H: Group, T: Group) -> bool:
     return set_product(H, T, ctx.group).size == ctx.group.order
+
+
+def _recheck_failed(check: str, H: Group) -> dict:
+    """Witness of a failed recheck; verify_case turns it into a fail."""
+    return {"kind": "recheck_failed", "check": check,
+            "subgroup": _gens_json(H)}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +318,7 @@ def _enc_l23(ctx, params):
         Op = ctx.O_p(p)
         Oup = ctx.O_upper_p(p)
         for H in (cls[0] for cls in ctx.subgroup_classes()):
-            if H.order == 1 or _primes_of(H.order) != (p,):
+            if H.order == 1 or prime_divisors(H.order) != (p,):
                 continue
             hyp = _sperm(ctx, H)
             if not hyp:
@@ -375,7 +341,7 @@ def _enc_l24(ctx, params):
         if not hyp:
             inst.append((False, True))
             continue
-        pi = _primes_of(A.order)
+        pi = prime_divisors(A.order)
         inst.append((True, A.element_set() <= ctx.O_pi(pi).element_set()))
     return inst, []
 
@@ -450,7 +416,7 @@ def _maximals_condition(ctx, target: Group, only_noncyclic: bool,
     for _, M in _sylow_maximals(ctx, target, only_noncyclic):
         if allow_supplement and _supplement_holds(ctx, M, "U", None):
             continue
-        if not _uqn(ctx, M):
+        if not _fsq(ctx, M, "U"):
             return False, M
     return True, None
 
@@ -594,7 +560,7 @@ def _enc_l2132(ctx, params):
     fs_g = generalized_fitting(ctx.group)
     zset = ctx.center().element_set()
     for K in ctx.normal_subgroups():
-        primes = _primes_of(K.order)
+        primes = prime_divisors(K.order)
         hyp = K.order > 1 and len(primes) == 1 and K.element_set() <= zset
         if not hyp:
             inst.append((False, True))
@@ -617,10 +583,12 @@ def _enc_l31(ctx, params):
         v = is_fs_quasinormal(G, M, "S")
         if not v.holds:
             lhs = False
-            assert _recheck_fsq(ctx, M, "S", False)
-            wit.append({"kind": "fsq_failure", "formation": "S",
-                        "subgroup": _gens_json(M),
-                        "sylow_prime": p, "rechecked": True})
+            if _recheck_fsq(ctx, M, "S", False):
+                wit.append({"kind": "fsq_failure", "formation": "S",
+                            "subgroup": _gens_json(M),
+                            "sylow_prime": p, "rechecked": True})
+            else:
+                wit.append(_recheck_failed("fsq_failure", M))
             break
     rhs = is_soluble(G)
     return [(lhs, rhs)], wit
@@ -642,7 +610,7 @@ def _enc_t32(ctx, params):
             if not is_supersoluble(rep):
                 continue
             rctx = _sub(ctx, rep)
-            if all(is_cyclic(rctx.sylow(q)) for q in _primes_of(rep.order)):
+            if all(is_cyclic(rctx.sylow(q)) for q in prime_divisors(rep.order)):
                 b_classes.append(c)
         for ac in a_classes:
             for bc in b_classes:
@@ -693,11 +661,13 @@ def _enc_l41(ctx, params):
             hyp = False
             break
         if v.witness is not None and not wit:
-            assert _recheck_supplement(ctx, M, v.witness)
-            wit.append({"kind": "supplement", "p": p, "n": n,
-                        "subgroup": _gens_json(M),
-                        "supplement": _gens_json(v.witness),
-                        "rechecked": True})
+            if _recheck_supplement(ctx, M, v.witness):
+                wit.append({"kind": "supplement", "p": p, "n": n,
+                            "subgroup": _gens_json(M),
+                            "supplement": _gens_json(v.witness),
+                            "rechecked": True})
+            else:
+                wit.append(_recheck_failed("supplement", M))
     return [(hyp, is_p_nilpotent(G, p) if hyp else True)], wit
 
 
@@ -705,7 +675,7 @@ def _enc_l42(ctx, params):
     p, n = params["p"], params["n"]
     G = ctx.group
     P = ctx.sylow(p)
-    hyp = all(has_f_supplement(G, M, "p_nilpotent", p).holds or _uqn(ctx, M)
+    hyp = all(has_f_supplement(G, M, "p_nilpotent", p).holds or _fsq(ctx, M, "U")
               for M in ctx.n_maximal_subgroups_of(P, n))
     return [(hyp, is_p_nilpotent(G, p) if hyp else True)], []
 
@@ -719,7 +689,7 @@ def _enc_t43(ctx, params):
         if not _quotient_p_nilpotent(ctx, E, p):
             continue
         P = ctx.sylow_of_subgroup(E, p)[0]
-        if all(has_f_supplement(G, M, "p_nilpotent", p).holds or _uqn(ctx, M)
+        if all(has_f_supplement(G, M, "p_nilpotent", p).holds or _fsq(ctx, M, "U")
                for M in ctx.n_maximal_subgroups_of(P, n)):
             rhs = True
             break
@@ -765,7 +735,7 @@ _ENCODERS: dict[str, Callable] = {
 def params_for(G: Group, theorem_id: str) -> list[dict]:
     """Parameter sets of a theorem for one group, in deterministic order."""
     order = G.order
-    primes = _primes_of(order)
+    primes = prime_divisors(order)
     if theorem_id in ("L2.2.1", "L2.2.2", "L2.2.3", "L2.2.4", "L2.2.5",
                       "L2.2.6"):
         return [{"formation": F} for F in FORMATIONS]
@@ -806,6 +776,8 @@ def verify_case(G: Group, theorem_id: str, params: dict) -> CaseResult:
             verdict = "vacuous"
         else:
             verdict = "pass"
+    if any(w["kind"] == "recheck_failed" for w in witnesses):
+        verdict = "fail"
     return CaseResult(theorem_id=theorem_id, params=dict(params),
                       direction=direction, imported=imported,
                       hypothesis_value=bool(hyp), conclusion_value=bool(concl),

@@ -108,3 +108,18 @@ def test_corrupt_cache_never_silently_recomputes(cache_env):
     _CONTEXTS.pop((G.degree, G.key))
     with pytest.raises(CacheError):
         context_of(G).all_subgroups()
+
+
+def test_store_does_not_depend_on_a_fixed_temp_name(cache_env):
+    """Each store writes through a temp file of its own: a directory at the
+    old shared name <key>.tmp neither blocks it nor is touched."""
+    G = symmetric(4)
+    subs = context_of(G).all_subgroups()
+    blocker = cache_env / f"{cache.group_cache_key(G)}.tmp"
+    blocker.mkdir()
+    cache.store_lattice(G, subs)
+    loaded = cache.load_lattice(G)
+    assert [H.key for H in loaded] == [H.key for H in subs]
+    assert blocker.is_dir()
+    assert sorted(p.name for p in cache_env.iterdir()) == sorted(
+        [blocker.name, f"{cache.group_cache_key(G)}.lattice"])

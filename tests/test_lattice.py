@@ -157,7 +157,7 @@ def test_subnormal_pi_subgroups_inside_o_pi():
     for name in ["symmetric(4)", "dicyclic(3)", "SL(2,3)"]:
         G = builtin_group(name)
         ctx = context_of(G)
-        from grouplab.theorems import _primes_of
+        from grouplab.primes import prime_divisors as _primes_of
         for H in ctx.all_subgroups():
             pi = _primes_of(H.order)
             if not pi or not ctx.is_subnormal(H)[0]:

@@ -168,3 +168,18 @@ def test_nonsoluble_groups_fail_nothing_but_exercise_false_side():
         r = run_one(name, "L3.1")
         assert r.verdict == "pass"
         assert not r.conclusion_value
+
+
+def test_failed_recheck_fails_the_case(monkeypatch):
+    """A witness whose independent recheck disagrees turns the case into a
+    fail carrying a recheck_failed witness, also when Python runs with -O."""
+    from grouplab import theorems
+
+    monkeypatch.setattr(theorems, "_recheck_fsq", lambda *args: False)
+    monkeypatch.setattr(theorems, "_recheck_supplement", lambda *args: False)
+    for name, tid, params in [("alternating(5)", "L3.1", None),
+                              ("symmetric(3)", "L4.1", {"p": 2, "n": 1})]:
+        r = run_one(name, tid, params)
+        assert r.verdict == "fail", (name, tid)
+        assert [w["kind"] for w in r.witnesses] == ["recheck_failed"]
+        assert not any(w.get("rechecked") for w in r.witnesses)
