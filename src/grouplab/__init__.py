@@ -1,7 +1,7 @@
 """Finite permutation-group engine with a theorem-verification harness.
 
 Deterministic, desk-scale (order <= 1000, degree <= 64) computations:
-stabilizer chains, subgroup lattices, structural predicates, saturated
+enumerated element sets, subgroup lattices, structural predicates, saturated
 formations (nilpotent / supersoluble / soluble), hypercenters, subgroup
 permutability, and batch verification over a group catalog.
 """

@@ -14,10 +14,10 @@ from __future__ import annotations
 from functools import wraps
 from typing import Callable, Optional, TypeVar
 
-from .errors import NotASubgroupError
-from .groups import Group, Homomorphism, closure, from_elements, quotient
+from .groups import (Group, Homomorphism, closure, from_elements, quotient,
+                     require_subgroup)
 from .perms import Permutation, identity
-from .primes import p_part, prime_divisors
+from .primes import p_part, prime_divisors, require_prime
 
 T = TypeVar("T")
 _MISSING = object()
@@ -301,6 +301,7 @@ class GroupContext:
         return prime_divisors(self.group.order)
 
     def sylow_all(self, p: int) -> tuple[Group, ...]:
+        require_prime(p)
         pp = p_part(self.group.order, p)
         if pp == 1:
             return (self.trivial_subgroup(),)
@@ -400,8 +401,7 @@ class GroupContext:
     @_memoized
     def core(self, H: Group) -> Group:
         """Largest subgroup of H normal in the ambient group."""
-        if not H.is_subgroup_of(self.group):
-            raise NotASubgroupError("H is not a subgroup of G")
+        require_subgroup(H, self.group)
         hset = H.element_set()
         best = self.trivial_subgroup()
         for N in self.normal_subgroups():
@@ -411,8 +411,7 @@ class GroupContext:
 
     @_memoized
     def is_subnormal(self, H: Group) -> tuple[bool, int]:
-        if not H.is_subgroup_of(self.group):
-            raise NotASubgroupError("H is not a subgroup of G")
+        require_subgroup(H, self.group)
         K = self.group
         defect = 0
         while K.key != H.key:

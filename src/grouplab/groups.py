@@ -1,9 +1,9 @@
 """Permutation group construction and arithmetic.
 
-A :class:`Group` is defined by generators plus a deterministic stabilizer
-chain (base points tried in the fixed order 0, 1, 2, ...).  The chain gives
-order and membership; full element enumeration is available (and cached) at
-desk scale.  Groups are immutable after construction and safe to share.
+A :class:`Group` is its generators plus its element set, enumerated once
+at construction by a BFS over generator products that stops as soon as the
+order bound is passed.  Order is the size of that set and membership a set
+lookup.  Groups are immutable after construction and safe to share.
 
 Desk-scale bounds: degree <= 64 and order <= 1000 for directly constructed
 groups.  Quotient groups act on cosets and may have degree up to the index
@@ -13,6 +13,7 @@ groups.  Quotient groups act on cosets and may have degree up to the index
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -41,88 +42,14 @@ __all__ = [
 MAX_DEGREE = 64
 MAX_ORDER = 1000
 
-
-class _Level:
-    __slots__ = ("point", "gens", "transversal")
-
-    def __init__(self, point: int, degree: int):
-        self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: identity(degree)}
-
-
-def _build_chain(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
-    """Deterministic Schreier-Sims: base points in increasing point order."""
-    levels: list[_Level] = []
-
-    def update_orbit(i: int) -> None:
-        lvl = levels[i]
-        queue = sorted(lvl.transversal)
-        qi = 0
-        while qi < len(queue):
-            pt = queue[qi]
-            qi += 1
-            rep = lvl.transversal[pt]
-            for g in lvl.gens:
-                img = g.images[pt]
-                if img not in lvl.transversal:
-                    lvl.transversal[img] = rep * g
-                    queue.append(img)
-
-    def sift(g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        i = start
-        while i < len(levels):
-            img = g.images[levels[i].point]
-            rep = levels[i].transversal.get(img)
-            if rep is None:
-                return g, i
-            g = g * rep.inverse()
-            i += 1
-        return g, i
-
-    def add_strong_generator(g: Permutation) -> None:
-        # deepest prefix of the base fixed by g
-        depth = 0
-        while depth < len(levels) and g.images[levels[depth].point] == levels[depth].point:
-            depth += 1
-        if depth == len(levels):
-            new_point = min(p for p in range(degree) if g.images[p] != p)
-            levels.append(_Level(new_point, degree))
-        for i in range(depth + 1):
-            levels[i].gens.append(g)
-            update_orbit(i)
-
-    pending = [g for g in gens if not g.is_identity()]
-    for g in pending:
-        residue, _ = sift(g)
-        if not residue.is_identity():
-            add_strong_generator(residue)
-
-    # verify Schreier generators until every level is clean
-    dirty = True
-    while dirty:
-        dirty = False
-        for i in reversed(range(len(levels))):
-            lvl = levels[i]
-            for pt in sorted(lvl.transversal):
-                rep = lvl.transversal[pt]
-                for h in lvl.gens:
-                    back = lvl.transversal[h.images[pt]]
-                    schreier = rep * h * back.inverse()
-                    residue, _ = sift(schreier, i + 1)
-                    if not residue.is_identity():
-                        add_strong_generator(residue)
-                        dirty = True
-            if dirty:
-                break
-    return levels
+_images = attrgetter("images")
 
 
 class Group:
-    """Immutable permutation group given by generators and a stabilizer chain."""
+    """Immutable permutation group: its generators and its element set."""
 
-    __slots__ = ("degree", "generators", "_levels", "cached_order", "_elements",
-                 "_element_set", "_key", "_hash")
+    __slots__ = ("degree", "generators", "_elements", "_element_set", "_key",
+                 "_hash")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER):
@@ -135,19 +62,11 @@ class Group:
             raise ValueError("degree must be >= 1")
         if degree > MAX_DEGREE and not _skip_degree_check:
             raise BoundExceededError(f"degree {degree} exceeds desk bound {MAX_DEGREE}")
+        elems = closure(degree, gens, limit=_max_order)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", gens)
-        levels = _build_chain(degree, gens)
-        order = 1
-        for lvl in levels:
-            order *= len(lvl.transversal)
-        if order > _max_order:
-            raise BoundExceededError(
-                f"order {order} exceeds desk bound {_max_order}")
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "cached_order", order)
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_element_set", None)
+        object.__setattr__(self, "_elements", tuple(sorted(elems, key=_images)))
+        object.__setattr__(self, "_element_set", frozenset(elems))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
@@ -156,46 +75,23 @@ class Group:
 
     @property
     def order(self) -> int:
-        return self.cached_order
+        return len(self._elements)
 
     def __contains__(self, perm: Permutation) -> bool:
-        if not isinstance(perm, Permutation) or perm.degree != self.degree:
-            return False
-        g = perm
-        for lvl in self._levels:
-            img = g.images[lvl.point]
-            rep = lvl.transversal.get(img)
-            if rep is None:
-                return False
-            g = g * rep.inverse()
-        return g.is_identity()
+        return isinstance(perm, Permutation) and perm in self._element_set
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple (deterministic)."""
-        if self._elements is None:
-            elems = {identity(self.degree)}
-            queue = [identity(self.degree)]
-            while queue:
-                e = queue.pop()
-                for g in self.generators:
-                    x = e * g
-                    if x not in elems:
-                        elems.add(x)
-                        queue.append(x)
-            object.__setattr__(self, "_elements", tuple(sorted(elems)))
         return self._elements
 
     def element_set(self) -> frozenset[Permutation]:
-        if self._element_set is None:
-            object.__setattr__(self, "_element_set", frozenset(self.elements()))
         return self._element_set
 
     @property
     def key(self) -> frozenset:
         """Canonical hashable identity: the frozenset of image tuples."""
         if self._key is None:
-            object.__setattr__(self, "_key",
-                               frozenset(p.images for p in self.elements()))
+            object.__setattr__(self, "_key", frozenset(map(_images, self._elements)))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -213,15 +109,9 @@ class Group:
             return False
         return all(g in ambient for g in self.generators)
 
-    def conjugate(self, g: Permutation) -> "Group":
-        """The subgroup g^-1 * self * g (same degree)."""
-        ginv = g.inverse()
-        return Group(self.degree, [ginv * x * g for x in self.generators],
-                     _skip_degree_check=True)
-
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
-        return f"Group(degree={self.degree}, order={self.cached_order}, gens=[{gens}])"
+        return f"Group(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
 
 def trivial_group(degree: int = 1) -> Group:
@@ -245,7 +135,11 @@ def from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
 
 def closure(degree: int, gens: Sequence[Permutation],
             limit: Optional[int] = None) -> set[Permutation]:
-    """Element closure by BFS products; raises if limit is exceeded."""
+    """Element closure by BFS products.
+
+    Raises BoundExceededError as soon as a (limit + 1)-th element is found,
+    so an oversized group is rejected after at most limit + 1 elements.
+    """
     elems = {identity(degree)}
     queue = [identity(degree)]
     while queue:
@@ -254,7 +148,7 @@ def closure(degree: int, gens: Sequence[Permutation],
             x = e * g
             if x not in elems:
                 if limit is not None and len(elems) >= limit:
-                    raise BoundExceededError(f"closure exceeds {limit} elements")
+                    raise BoundExceededError(f"order exceeds desk bound {limit}")
                 elems.add(x)
                 queue.append(x)
     return elems
@@ -268,7 +162,8 @@ class SetProductResult:
     commutes: bool
 
 
-def _require_subgroup(H: Group, ambient: Group, name: str) -> None:
+def require_subgroup(H: Group, ambient: Group, name: str = "H") -> None:
+    """Raise NotASubgroupError unless H is a subgroup of ambient."""
     if not H.is_subgroup_of(ambient):
         raise NotASubgroupError(f"{name} is not a subgroup of the ambient group")
 
@@ -280,8 +175,8 @@ def set_product(H: Group, K: Group, ambient: Group) -> SetProductResult:
     equivalence is_subgroup <=> commutes is asserted by the property suite,
     not assumed here.
     """
-    _require_subgroup(H, ambient, "H")
-    _require_subgroup(K, ambient, "K")
+    require_subgroup(H, ambient)
+    require_subgroup(K, ambient, "K")
     h_elems = H.elements()
     k_elems = K.elements()
     hk = {h * k for h in h_elems for k in k_elems}
@@ -455,10 +350,10 @@ def centralizer(G: Group, target) -> Group:
     """Centralizer of an element or subgroup of G."""
     if isinstance(target, Permutation):
         targets = [target]
-        if target.degree != G.degree or target not in G:
+        if target not in G:
             raise NotASubgroupError("target element is not in G")
     else:
-        _require_subgroup(target, G, "target")
+        require_subgroup(target, G, "target")
         targets = list(target.generators)
     elems = [g for g in G.elements() if all(g * t == t * g for t in targets)]
     return from_elements(G.degree, elems)

@@ -25,8 +25,15 @@ def is_prime(n: int) -> bool:
     return n > 1 and prime_divisors(n) == (n,)
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"invalid prime: {p}")
+
+
 def p_part(n: int, p: int) -> int:
-    """The largest power of p dividing n."""
+    """The largest power of p dividing n (p >= 2)."""
+    if p < 2:
+        raise ValueError(f"invalid prime power base: {p}")
     pp = 1
     while n % p == 0:
         pp *= p

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import context_of
-from .errors import NotASubgroupError
 from .formations import hypercenter_preimage, in_formation
-from .groups import Group, product_size
+from .groups import Group, product_size, require_subgroup
 from .structure import is_p_nilpotent
 
 __all__ = [
@@ -41,11 +40,6 @@ class Verdict:
     detail: str = ""
 
 
-def _require_subgroup(H: Group, G: Group) -> None:
-    if not H.is_subgroup_of(G):
-        raise NotASubgroupError("H is not a subgroup of G")
-
-
 def is_s_permutable(G: Group, H: Group) -> Verdict:
     """HP = PH for every Sylow subgroup P of G.
 
@@ -53,7 +47,7 @@ def is_s_permutable(G: Group, H: Group) -> Verdict:
     is all Sylow p-subgroups.  The failure witness is the first non-permuting
     Sylow subgroup in deterministic order.
     """
-    _require_subgroup(H, G)
+    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("sperm", H.key, lambda: _s_permutable_uncached(ctx, H))
 
@@ -80,7 +74,7 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
     """Some normal T has H*T s-permutable and (H n T)H_G/H_G inside
     Z_inf^F(G/H_G).  Exhaustive scan over normal subgroups in deterministic
     (ascending) order; the witness is the smallest qualifying T."""
-    _require_subgroup(H, G)
+    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("fsq", (H.key, formation), lambda: _fsq_scan(
         ctx, H, formation, require_core_in_t=False))
@@ -89,7 +83,7 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
 def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
     """Equivalent phrasing: T restricted to normal subgroups containing H_G,
     containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
-    _require_subgroup(H, G)
+    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("fsq_variant", (H.key, formation), lambda: _fsq_scan(
         ctx, H, formation, require_core_in_t=True))
@@ -135,7 +129,7 @@ def has_f_supplement(G: Group, H: Group, kind: str,
     Every conjugate of every subgroup class is scanned (G = HT is not
     conjugation-invariant in T for fixed H), pruned by |H|*|T| >= |G|.
     """
-    _require_subgroup(H, G)
+    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("supplement", (H.key, kind, p),
                     lambda: _supplement_scan(ctx, H, kind, p))

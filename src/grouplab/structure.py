@@ -10,7 +10,7 @@ from typing import Optional
 from .context import GroupContext, context_of, subgroup_sort_key
 from .groups import Group
 from .perms import Permutation
-from .primes import is_prime, p_part
+from .primes import is_prime, p_part, require_prime
 
 __all__ = [
     "Series",
@@ -141,6 +141,7 @@ def is_cyclic(G: Group) -> bool:
 
 
 def is_p_group(G: Group, p: int) -> bool:
+    require_prime(p)
     return p_part(G.order, p) == G.order
 
 
@@ -185,8 +186,7 @@ def is_supersoluble(G: Group) -> bool:
 
 def is_p_nilpotent(G: Group, p: int) -> bool:
     """A normal p-complement exists, tested as |O_{p'}(G)| = |G| / p-part."""
-    if not is_prime(p):
-        raise ValueError(f"invalid prime: {p}")
+    require_prime(p)
     ctx = context_of(G)
     return ctx.memo("pred", ("p_nilpotent", p),
                     lambda: ctx.O_pi_prime({p}).order

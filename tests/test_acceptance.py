@@ -19,12 +19,14 @@ from grouplab.formations import (
     is_f_central,
     is_f_central_generic,
 )
-from grouplab.groups import closure, set_product
+from grouplab.groups import set_product
 from grouplab.harness import report_body_without_timing, run_suite
 from grouplab.lattice import enumerate_subgroups
 from grouplab.quasinormal import is_fs_quasinormal, is_fs_quasinormal_variant
 from grouplab.structure import chief_factors, is_soluble, series
 from grouplab.theorems import THEOREM_IDS
+
+from _chain_oracle import ChainOracle, membership_probes
 
 JOBS = 8
 
@@ -179,9 +181,12 @@ def test_structure_suites(headline):
 
 
 def test_kernel_oracles(catalog):
-    order_ok = all(
-        e.group.order == len(closure(e.group.degree, list(e.group.generators)))
-        for e in catalog.entries if e.group.order <= 200)
+    order_ok = membership_ok = True
+    for e in catalog.entries:
+        chain = ChainOracle(e.group)
+        order_ok &= e.group.order == chain.order
+        probes = membership_probes(e.group)
+        membership_ok &= [x in e.group for x in probes] == [x in chain for x in probes]
     lat = enumerate_subgroups(builtin_group("symmetric(4)"))
     s4_ok = lat.subgroup_count == 30 and len(lat.classes) == 11
     pairs = 0
@@ -195,9 +200,10 @@ def test_kernel_oracles(catalog):
                 r = set_product(H, K, e.group)
                 criterion_ok &= r.is_subgroup == r.commutes
                 pairs += 1
-    ok = order_ok and s4_ok and criterion_ok
-    assert _line(ok, f"kernel oracles: chain order = enumeration (<=200): "
-                     f"{order_ok}; S4 lattice 30/11: {s4_ok}; "
+    ok = order_ok and membership_ok and s4_ok and criterion_ok
+    assert _line(ok, f"kernel oracles: chain order = enumeration: {order_ok}, "
+                     f"chain membership = element set: {membership_ok} "
+                     f"({len(catalog)} groups); S4 lattice 30/11: {s4_ok}; "
                      f"HK subgroup <=> HK=KH on {pairs} pairs (<=48): "
                      f"{criterion_ok}")
 

@@ -1,4 +1,5 @@
-"""Group kernel: stabilizer-chain order, membership, products, quotients."""
+"""Group kernel: enumerated order and membership (checked against a
+Schreier–Sims oracle), products, quotients."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,8 @@ from grouplab.groups import (
 )
 from grouplab.perms import Permutation, from_cycles, identity
 
+from _chain_oracle import ChainOracle, membership_probes
+
 SMALL = ["cyclic(1)", "cyclic(12)", "dihedral(6)", "dicyclic(2)",
          "symmetric(4)", "alternating(4)", "elementary_abelian(2,3)",
          "direct(cyclic(3),symmetric(3))", "SL(2,3)", "alternating(5)",
@@ -40,20 +43,20 @@ SMALL = ["cyclic(1)", "cyclic(12)", "dihedral(6)", "dicyclic(2)",
 
 @pytest.mark.parametrize("name", SMALL)
 def test_order_matches_exhaustive_enumeration(name):
-    """[DERIVED] chain order equals size of the BFS element closure (<=200)."""
+    """[DERIVED] the enumerated order equals the stabilizer-chain order."""
     G = builtin_group(name)
-    if G.order > 200:
-        pytest.skip("oracle bounded at order 200")
-    assert G.order == len(closure(G.degree, list(G.generators)))
+    assert G.order == ChainOracle(G).order
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_membership_agrees_with_element_set(name):
+    """Set-lookup membership agrees with sifting through the chain."""
     G = builtin_group(name)
-    elems = G.element_set()
-    assert all(e in elems for e in G.elements())
+    chain = ChainOracle(G)
+    probes = membership_probes(G)
+    assert [x in G for x in probes] == [x in chain for x in probes]
     assert identity(G.degree) in G
-    assert len(elems) == G.order
+    assert len(G.element_set()) == G.order
 
 
 def test_contains_rejects_nonmembers():
@@ -63,8 +66,15 @@ def test_contains_rejects_nonmembers():
 
 
 def test_order_bound_enforced():
-    with pytest.raises(BoundExceededError):
+    """The closure stops past the order bound; _max_order raises the bound."""
+    with pytest.raises(BoundExceededError, match="exceeds desk bound 1000"):
         symmetric(8)  # order 40320 > 1000
+    gens = list(symmetric(4).generators)
+    assert len(closure(4, gens, limit=24)) == 24
+    with pytest.raises(BoundExceededError):
+        closure(4, gens, limit=23)
+    G = direct_product(symmetric(5), symmetric(5))
+    assert G.order == 14400 == len(G.element_set())
 
 
 def test_known_orders():
@@ -177,7 +187,7 @@ def test_generated_order_divides_s5_order(img_lists):
     gens = [Permutation(tuple(t)) for t in img_lists]
     G = Group(5, gens)
     assert 120 % G.order == 0
-    assert G.order == len(closure(5, gens))
+    assert G.order == ChainOracle(G).order
 
 
 def test_group_key_is_representation_invariant():

@@ -1,9 +1,14 @@
 """Structural predicates, series, components, generalized Fitting subgroup."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from grouplab.catalog import builtin_group, symmetric
 from grouplab.context import context_of
+from grouplab.lattice import sylow
 from grouplab.structure import (
     chief_factors,
     components,
@@ -73,6 +78,36 @@ def test_p_group_and_p_nilpotent():
     assert not is_p_nilpotent(symmetric(4), 2)
     assert not is_p_nilpotent(symmetric(4), 3)
     assert is_p_nilpotent(builtin_group("alternating(4)"), 3)
+
+
+_P_EQUALS_ONE = """
+from grouplab.catalog import symmetric
+from grouplab.lattice import named_subgroup, sylow
+from grouplab.structure import predicate
+
+G = symmetric(3)
+for call in (lambda: predicate(G, "p_group", 1), lambda: sylow(G, 1),
+             lambda: named_subgroup(G, "O_p", p=1)):
+    try:
+        call()
+        print("returned")
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_non_prime_p_is_rejected():
+    """p = 1 used to loop forever in the p-part; run it where a hang fails."""
+    env = {k: v for k, v in os.environ.items() if k != "GROUPLAB_CACHE"}
+    r = subprocess.run([sys.executable, "-c", _P_EQUALS_ONE], capture_output=True,
+                       text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ValueError"] * 3
+    S4 = symmetric(4)
+    for call in (lambda: sylow(S4, 4), lambda: is_p_group(S4, 4),
+                 lambda: predicate(S4, "p_group", 4)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_perfect_quasisimple():
