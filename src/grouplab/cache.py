@@ -101,6 +101,7 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             raise CacheError(f"{path}: group mismatch")
         count = int(fields["count"])
         subs = []
+        keys = set()
         elems = G.elements()
         for line in lines[5:]:
             if not line.strip():
@@ -109,7 +110,13 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             if kw != "sub":
                 raise CacheError(f"{path}: unexpected line {line!r}")
             members = [elems[int(i)] for i in rest.split()]
-            subs.append(from_elements(G.degree, members))
+            H = from_elements(G.degree, members)
+            if H.order != len(members):
+                raise CacheError(f"{path}: {line!r} is not a subgroup")
+            if H.key in keys:
+                raise CacheError(f"{path}: {line!r} repeats a subgroup")
+            keys.add(H.key)
+            subs.append(H)
         if len(subs) != count:
             raise CacheError(f"{path}: expected {count} subgroups, found {len(subs)}")
     except CacheError:

@@ -65,12 +65,10 @@ def _parse_subgroup(G: Group, text: str) -> Group:
     if cur.strip():
         parts.append(cur.strip())
     gens = [from_cycles(t, G.degree) for t in parts]
-    H = context_of(G).generated(gens) if gens else None
-    if H is None:
-        H = context_of(G).trivial_subgroup()
-    if not H.element_set() <= G.element_set():
+    # before closing them: stray generators may generate a far larger group
+    if not all(g in G for g in gens):
         raise CatalogError("generators do not lie in the ambient group")
-    return H
+    return context_of(G).generated(gens)
 
 
 def _fail_usage(msg: str):

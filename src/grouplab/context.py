@@ -436,6 +436,12 @@ class GroupContext:
         res = quotient(self.group, N)
         return context_of(res.group), res.epimorphism
 
+    def quotient_image(self, N: Group, K: Group) -> Group:
+        """KN/N as the quotient context's own subgroup object, so an image
+        already in its registry costs no closure."""
+        qctx, hom = self.quotient_ctx(N)
+        return qctx.subgroup({hom(k) for k in K.elements()})
+
     # ------------------------------------------------------------------
     # chief factors
 

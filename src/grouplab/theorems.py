@@ -1,11 +1,14 @@
 """Encodings of every verified statement as checkable predicates over one
 group.
 
-Each theorem id maps to a parameter enumerator and an evaluator that yields
-instances.  Implications aggregate as: fail iff some instance has a true
-hypothesis and a false conclusion; vacuous iff no instance has a true
-hypothesis.  Equivalences aggregate as: fail iff any instance's two sides
-differ (never vacuous when instances exist).
+Each theorem id maps to a parameter enumerator and an encoder, a generator
+called as ``encoder(ctx, params, wit)`` that appends its witness dicts to
+``wit``.  An implication encoder yields the conclusion of each instance
+whose hypothesis holds, evaluated only there: the case is vacuous when
+nothing is yielded and fails when a yielded conclusion is false.  An
+equivalence encoder yields ``(lhs, rhs)`` pairs: the case fails when some
+pair differs and is never vacuous when pairs exist.  A failed witness
+recheck fails the case either way.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .context import GroupContext, context_of
 from .formations import FORMATIONS, in_formation, quotient_in_formation
@@ -34,6 +37,7 @@ from .structure import (
     is_simple,
     is_soluble,
     is_supersoluble,
+    layer,
 )
 
 __all__ = ["THEOREM_IDS", "CaseResult", "verify_case", "params_for"]
@@ -75,7 +79,12 @@ class CaseResult:
 
 
 def _sub(ctx: GroupContext, H: Group) -> GroupContext:
-    """Analysis context of a subgroup, sharing the ambient lattice."""
+    """Analysis context of a subgroup, sharing the ambient lattice.
+
+    Calls whose result is discarded stay on purpose: they link H's context
+    to ctx, so when a later predicate on H needs H's lattice it filters the
+    ambient one instead of enumerating it again.
+    """
     return context_of(H, parent=ctx)
 
 
@@ -84,12 +93,29 @@ def _gens_json(H: Group) -> dict:
             "generators": [to_cycles(g) for g in H.generators] or ["()"]}
 
 
-def _sperm(ctx: GroupContext, H: Group) -> bool:
+def _class_reps(ctx: GroupContext) -> Iterator[Group]:
+    """One representative per conjugacy class of subgroups."""
+    return (cls[0] for cls in ctx.subgroup_classes())
+
+
+# embedding predicates pred(ctx, H, params), decided in ctx.group
+
+
+def _sperm(ctx: GroupContext, H: Group, params=None) -> bool:
     return is_s_permutable(ctx.group, H).holds
 
 
 def _fsq(ctx: GroupContext, H: Group, F: str) -> bool:
     return is_fs_quasinormal(ctx.group, H, F).holds
+
+
+def _fsq_of(ctx: GroupContext, H: Group, params: dict) -> bool:
+    return _fsq(ctx, H, params["formation"])
+
+
+def _supplement(ctx: GroupContext, H: Group, params: dict) -> bool:
+    return has_f_supplement(ctx.group, H, params["class"],
+                            params.get("p")).holds
 
 
 def _sperm_subgroups(ctx: GroupContext) -> tuple[Group, ...]:
@@ -142,18 +168,35 @@ def _semisimple_nonabelian(T: Group) -> bool:
     return _direct_span_equals(tctx, list(mins), T)
 
 
-def _sylow_maximals(ctx: GroupContext, A: Group, only_noncyclic: bool):
-    """(P, M) pairs: M maximal in the Sylow subgroup P of A (optionally only
-    non-cyclic P)."""
+def _sylow_maximals(ctx: GroupContext, A: Group,
+                    only_noncyclic: bool) -> list[Group]:
+    """The maximal subgroups of the Sylow subgroups of A (optionally only of
+    the non-cyclic ones)."""
     out = []
     for p in prime_divisors(A.order):
         # one Sylow per prime: the checked predicates are conjugation-invariant
         P = ctx.sylow_of_subgroup(A, p)[0]
-        if only_noncyclic and is_cyclic(P):
-            continue
-        for M in ctx.maximal_subgroups_of(P):
-            out.append((P, M))
+        if not (only_noncyclic and is_cyclic(P)):
+            out.extend(ctx.maximal_subgroups_of(P))
     return out
+
+
+def _maximals_condition(ctx: GroupContext, target: Group, only_noncyclic: bool,
+                        allow_supplement: bool) -> bool:
+    """Every maximal subgroup of every (non-cyclic) Sylow subgroup of
+    `target` is U_s-quasinormal in G (or has a supersoluble supplement when
+    allowed)."""
+    return all((allow_supplement and _supplement(ctx, M, {"class": "U"}))
+               or _fsq(ctx, M, "U")
+               for M in _sylow_maximals(ctx, target, only_noncyclic))
+
+
+def _n_maximals_embedded(ctx: GroupContext, P: Group, p: int, n: int) -> bool:
+    """Every n-maximal subgroup of P has a p-nilpotent supplement or is
+    U_s-quasinormal in G."""
+    return all(has_f_supplement(ctx.group, M, "p_nilpotent", p).holds
+               or _fsq(ctx, M, "U")
+               for M in ctx.n_maximal_subgroups_of(P, n))
 
 
 def _gcd_tower(order: int, p: int, n: int) -> bool:
@@ -161,6 +204,17 @@ def _gcd_tower(order: int, p: int, n: int) -> bool:
     for i in range(1, n + 1):
         prod *= p ** i - 1
     return math.gcd(order, prod) == 1
+
+
+def _fstar(H: Group) -> Group:
+    return generalized_fitting(H) if H.order > 1 else H
+
+
+def _fstar_images(ctx: GroupContext, N: Group,
+                  fs_g: Group) -> tuple[Group, Group]:
+    """The image of F*(G) = fs_g in G/N, and F*(G/N)."""
+    qctx, _ = ctx.quotient_ctx(N)
+    return ctx.quotient_image(N, fs_g), generalized_fitting(qctx.group)
 
 
 # ---------------------------------------------------------------------------
@@ -182,423 +236,254 @@ def _recheck_failed(check: str, H: Group) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# encoders: each returns (instances, witnesses);
-# implication instances are (hyp, concl); iff instances are (lhs, rhs)
+# the two shapes shared by Lemmas 2.1, 2.2 and 2.7
 
 
-def _enc_l21a(ctx, params):
-    inst, wit = [], []
-    for K in (cls[0] for cls in ctx.subgroup_classes()):
-        kctx = _sub(ctx, K)
-        for H in ctx.subgroups_of(K):
-            hyp = _sperm(ctx, H)
-            inst.append((hyp, _sperm(kctx, H) if hyp else True))
-    return inst, wit
+def _hereditary(pred, containers):
+    """Heredity: pred(H) in G implies pred(H) in K, for every container K
+    and every H <= K."""
+    def encode(ctx, params, wit):
+        for K in containers(ctx):
+            kctx = _sub(ctx, K)
+            for H in ctx.subgroups_of(K):
+                if pred(ctx, H, params):
+                    yield pred(kctx, H, params)
+    return encode
 
 
-def _enc_l21b(ctx, params):
-    inst = []
-    for N in ctx.normal_subgroups():
-        qctx, hom = ctx.quotient_ctx(N)
-        nset = N.element_set()
-        for K in ctx.all_subgroups():
-            if not nset <= K.element_set():
-                continue
-            lhs = _sperm(qctx, hom.image_of_subgroup(K))
-            rhs = _sperm(ctx, K)
-            inst.append((lhs, rhs))
-    return inst, []
+def _corresponds(pred):
+    """Correspondence: pred(K/N) in G/N iff pred(K) in G, for N <= K."""
+    def encode(ctx, params, wit):
+        for N in ctx.normal_subgroups():
+            qctx, _ = ctx.quotient_ctx(N)
+            nset = N.element_set()
+            for K in ctx.all_subgroups():
+                if nset <= K.element_set():
+                    yield (pred(qctx, ctx.quotient_image(N, K), params),
+                           pred(ctx, K, params))
+    return encode
 
 
-def _enc_l21c(ctx, params):
-    inst = []
+# ---------------------------------------------------------------------------
+# encoders
+
+
+def _enc_l21c(ctx, params, wit):
     for H in ctx.all_subgroups():
-        hyp = _sperm(ctx, H)
-        inst.append((hyp, ctx.is_subnormal(H)[0] if hyp else True))
-    return inst, []
+        if _sperm(ctx, H):
+            yield ctx.is_subnormal(H)[0]
 
 
-def _enc_l21d(ctx, params):
+def _enc_l21d(ctx, params, wit):
+    for H, F in combinations_with_replacement(_sperm_subgroups(ctx), 2):
+        yield _sperm(ctx, ctx.subgroup(sorted(H.element_set() & F.element_set())))
+
+
+def _enc_l21e(ctx, params, wit):
     sperm = _sperm_subgroups(ctx)
-    inst = []
-    for H, F in combinations_with_replacement(sperm, 2):
-        inter = ctx.subgroup(sorted(H.element_set() & F.element_set()))
-        inst.append((True, _sperm(ctx, inter)))
-    return inst, []
-
-
-def _enc_l21e(ctx, params):
-    sperm = _sperm_subgroups(ctx)
-    inst = []
-    for M in (cls[0] for cls in ctx.subgroup_classes()):
+    for M in _class_reps(ctx):
         mctx = _sub(ctx, M)
         mset = M.element_set()
         for H in sperm:
-            inter = ctx.subgroup(sorted(H.element_set() & mset))
-            inst.append((True, _sperm(mctx, inter)))
-    return inst, []
+            yield _sperm(mctx, ctx.subgroup(sorted(H.element_set() & mset)))
 
 
-def _enc_l221(ctx, params):
+def _enc_l221(ctx, params, wit):
     F = params["formation"]
-    inst, wit = [], []
-    for H in (cls[0] for cls in ctx.subgroup_classes()):
-        a = is_fs_quasinormal(ctx.group, H, F)
-        b = is_fs_quasinormal_variant(ctx.group, H, F)
-        inst.append((a.holds, b.holds))
-        if a.holds != b.holds:
+    for H in _class_reps(ctx):
+        a = is_fs_quasinormal(ctx.group, H, F).holds
+        b = is_fs_quasinormal_variant(ctx.group, H, F).holds
+        if a != b:
             wit.append({"kind": "variant_disagreement", "formation": F,
                         "subgroup": _gens_json(H)})
-    return inst, wit
+        yield a, b
 
 
-def _enc_l222(ctx, params):
+def _enc_l223(ctx, params, wit):
     F = params["formation"]
-    inst = []
     for N in ctx.normal_subgroups():
-        qctx, hom = ctx.quotient_ctx(N)
-        nset = N.element_set()
-        for K in ctx.all_subgroups():
-            if not nset <= K.element_set():
-                continue
-            lhs = _fsq(qctx, hom.image_of_subgroup(K), F)
-            rhs = _fsq(ctx, K, F)
-            inst.append((lhs, rhs))
-    return inst, []
+        qctx, _ = ctx.quotient_ctx(N)
+        for E in _class_reps(ctx):
+            if math.gcd(N.order, E.order) == 1 and _fsq(ctx, E, F):
+                yield _fsq(qctx, ctx.quotient_image(N, E), F)
 
 
-def _enc_l223(ctx, params):
+def _enc_l226(ctx, params, wit):
     F = params["formation"]
-    inst = []
-    for N in ctx.normal_subgroups():
-        qctx, hom = ctx.quotient_ctx(N)
-        for E in (cls[0] for cls in ctx.subgroup_classes()):
-            if math.gcd(N.order, E.order) != 1:
-                continue
-            hyp = _fsq(ctx, E, F)
-            concl = _fsq(qctx, hom.image_of_subgroup(E), F) if hyp else True
-            inst.append((hyp, concl))
-    return inst, []
+    if in_formation(ctx.group, F):
+        for H in _class_reps(ctx):
+            yield _fsq(ctx, H, F)
 
 
-def _enc_l224(ctx, params):
-    F = params["formation"]
-    inst = []
-    for K in (cls[0] for cls in ctx.subgroup_classes()):
-        kctx = _sub(ctx, K)
-        for H in ctx.subgroups_of(K):
-            hyp = _fsq(ctx, H, F)
-            inst.append((hyp, _fsq(kctx, H, F) if hyp else True))
-    return inst, []
-
-
-def _enc_l225(ctx, params):
-    F = params["formation"]
-    inst = []
-    for K in ctx.normal_subgroups():
-        kctx = _sub(ctx, K)
-        for H in ctx.subgroups_of(K):
-            hyp = _fsq(ctx, H, F)
-            inst.append((hyp, _fsq(kctx, H, F) if hyp else True))
-    return inst, []
-
-
-def _enc_l226(ctx, params):
-    F = params["formation"]
-    hyp = in_formation(ctx.group, F)
-    inst = []
-    for H in (cls[0] for cls in ctx.subgroup_classes()):
-        inst.append((hyp, _fsq(ctx, H, F) if hyp else True))
-    return inst, []
-
-
-def _enc_l23(ctx, params):
-    inst = []
+def _enc_l23(ctx, params, wit):
     for p in ctx.primes():
         Op = ctx.O_p(p)
         Oup = ctx.O_upper_p(p)
-        for H in (cls[0] for cls in ctx.subgroup_classes()):
-            if H.order == 1 or prime_divisors(H.order) != (p,):
-                continue
-            hyp = _sperm(ctx, H)
-            if not hyp:
-                inst.append((False, True))
+        for H in _class_reps(ctx):
+            if H.order == 1 or prime_divisors(H.order) != (p,) \
+                    or not _sperm(ctx, H):
                 continue
             hset = H.element_set()
             in_op = hset <= Op.element_set()
             normalized = all(g.inverse() * h * g in hset
                              for g in Oup.generators for h in H.generators)
-            inst.append((True, in_op and normalized))
-    return inst, []
+            yield in_op and normalized
 
 
-def _enc_l24(ctx, params):
-    inst = []
-    for A in (cls[0] for cls in ctx.subgroup_classes()):
-        if A.order == 1:
-            continue
-        hyp = ctx.is_subnormal(A)[0]
-        if not hyp:
-            inst.append((False, True))
-            continue
-        pi = prime_divisors(A.order)
-        inst.append((True, A.element_set() <= ctx.O_pi(pi).element_set()))
-    return inst, []
+def _enc_l24(ctx, params, wit):
+    for A in _class_reps(ctx):
+        if A.order > 1 and ctx.is_subnormal(A)[0]:
+            pi = prime_divisors(A.order)
+            yield A.element_set() <= ctx.O_pi(pi).element_set()
 
 
-def _enc_l25(ctx, params):
+def _enc_l25(ctx, params, wit):
     phi = ctx.frattini()
-    inst = []
     mins = list(ctx.minimal_normal_subgroups())
     for N in ctx.normal_subgroups():
         if N.order == 1:
             continue
-        nctx = _sub(ctx, N)
-        hyp = is_nilpotent(N) and \
-            len(N.element_set() & phi.element_set()) == 1
-        if not hyp:
-            inst.append((False, True))
-            continue
+        _sub(ctx, N)
         nset = N.element_set()
-        inside = [M for M in mins if M.element_set() <= nset]
-        inst.append((True, _direct_span_equals(ctx, inside, N)))
-    return inst, []
+        if is_nilpotent(N) and len(nset & phi.element_set()) == 1:
+            inside = [M for M in mins if M.element_set() <= nset]
+            yield _direct_span_equals(ctx, inside, N)
 
 
-def _enc_l26(ctx, params):
+def _enc_l26(ctx, params, wit):
     F = params["formation"]
-    inst = []
     for E in ctx.normal_subgroups():
-        hyp = is_cyclic(E) and quotient_in_formation(ctx, E, F)
-        inst.append((hyp, in_formation(ctx.group, F) if hyp else True))
-    return inst, []
+        if is_cyclic(E) and quotient_in_formation(ctx, E, F):
+            yield in_formation(ctx.group, F)
 
 
-def _supplement_holds(ctx, H, cls, p):
-    return has_f_supplement(ctx.group, H, cls, p).holds
+def _enc_l271(ctx, params, wit):
+    for H in _class_reps(ctx):
+        if _supplement(ctx, H, params):
+            yield all(_supplement(ctx.quotient_ctx(N)[0],
+                                  ctx.quotient_image(N, H), params)
+                      for N in ctx.normal_subgroups())
 
 
-def _enc_l271(ctx, params):
-    cls, p = params["class"], params.get("p")
-    inst = []
-    for H in (c[0] for c in ctx.subgroup_classes()):
-        hyp = _supplement_holds(ctx, H, cls, p)
-        if not hyp:
-            inst.append((False, True))
-            continue
-        ok = True
-        for N in ctx.normal_subgroups():
-            qctx, hom = ctx.quotient_ctx(N)
-            if not _supplement_holds(qctx, hom.image_of_subgroup(H), cls, p):
-                ok = False
-                break
-        inst.append((True, ok))
-    return inst, []
-
-
-def _enc_l272(ctx, params):
-    cls, p = params["class"], params.get("p")
-    inst = []
-    for K in (c[0] for c in ctx.subgroup_classes()):
-        kctx = _sub(ctx, K)
-        for H in ctx.subgroups_of(K):
-            hyp = _supplement_holds(ctx, H, cls, p)
-            inst.append((hyp,
-                         _supplement_holds(kctx, H, cls, p) if hyp else True))
-    return inst, []
-
-
-def _maximals_condition(ctx, target: Group, only_noncyclic: bool,
-                        allow_supplement: bool) -> tuple[bool, Optional[Group]]:
-    """Every maximal subgroup of every (non-cyclic) Sylow subgroup of
-    `target` is U_s-quasinormal in G (or has a supersoluble supplement when
-    allowed).  Returns (holds, failing subgroup)."""
-    for _, M in _sylow_maximals(ctx, target, only_noncyclic):
-        if allow_supplement and _supplement_holds(ctx, M, "U", None):
-            continue
-        if not _fsq(ctx, M, "U"):
-            return False, M
-    return True, None
-
-
-def _enc_l28(ctx, params):
+def _enc_l28(ctx, params, wit):
     F = params["formation"]
-    lhs = in_formation(ctx.group, F)
-    rhs = False
-    for E in ctx.normal_subgroups():
-        if not quotient_in_formation(ctx, E, F):
-            continue
-        ok, _ = _maximals_condition(ctx, E, only_noncyclic=True,
-                                    allow_supplement=True)
-        if ok:
-            rhs = True
-            break
-    return [(lhs, rhs)], []
+    yield in_formation(ctx.group, F), any(
+        quotient_in_formation(ctx, E, F)
+        and _maximals_condition(ctx, E, only_noncyclic=True,
+                                allow_supplement=True)
+        for E in ctx.normal_subgroups())
 
 
-def _enc_l29(ctx, params):
+def _enc_l29(ctx, params, wit):
     F = params["formation"]
-    lhs = in_formation(ctx.group, F)
-    rhs = False
-    for E in ctx.normal_subgroups():
-        if not is_soluble(E) or not quotient_in_formation(ctx, E, F):
-            continue
-        FE = _sub(ctx, E).fitting()
-        ok, _ = _maximals_condition(ctx, FE, only_noncyclic=True,
-                                    allow_supplement=True)
-        if ok:
-            rhs = True
-            break
-    return [(lhs, rhs)], []
+    yield in_formation(ctx.group, F), any(
+        is_soluble(E) and quotient_in_formation(ctx, E, F)
+        and _maximals_condition(ctx, _sub(ctx, E).fitting(),
+                                only_noncyclic=True, allow_supplement=True)
+        for E in ctx.normal_subgroups())
 
 
-def _enc_l210(ctx, params):
+def _enc_l210(ctx, params, wit):
     odd = [p for p in ctx.primes() if p != 2]
-    inst = []
     for mask in range(1, 1 << len(odd)):
         pi = tuple(p for i, p in enumerate(odd) if mask >> i & 1)
         member, single = ctx.hall(pi)
-        hyp = member is not None
-        inst.append((hyp, single if hyp else True))
-    return inst, []
+        if member is not None:
+            yield single
 
 
-def _enc_l211(ctx, params):
+def _enc_l211(ctx, params, wit):
     order = ctx.group.order
-    inst = []
     for p in ctx.primes():
         for n in range(1, 5):
-            hyp = order % p ** (n + 1) != 0 and _gcd_tower(order, p, n)
-            inst.append((hyp, is_p_nilpotent(ctx.group, p) if hyp else True))
-    return inst, []
+            if order % p ** (n + 1) != 0 and _gcd_tower(order, p, n):
+                yield is_p_nilpotent(ctx.group, p)
 
 
-def _fstar(ctx, H: Group) -> Group:
-    return generalized_fitting(H) if H.order > 1 else H
-
-
-def _enc_l2121(ctx, params):
-    fs_g = generalized_fitting(ctx.group)
-    inst = []
+def _enc_l2121(ctx, params, wit):
+    fset = generalized_fitting(ctx.group).element_set()
     for N in ctx.normal_subgroups():
         _sub(ctx, N)
-        inst.append((True,
-                     _fstar(ctx, N).element_set() <= fs_g.element_set()))
-    return inst, []
+        yield _fstar(N).element_set() <= fset
 
 
-def _enc_l2122(ctx, params):
+def _enc_l2122(ctx, params, wit):
     fs_g = generalized_fitting(ctx.group)
-    fset = fs_g.element_set()
-    inst = []
     for N in ctx.normal_subgroups():
-        if not N.element_set() <= fset:
-            inst.append((False, True))
-            continue
-        qctx, hom = ctx.quotient_ctx(N)
-        img = hom.image_of_subgroup(fs_g)
-        fs_q = generalized_fitting(qctx.group)
-        inst.append((True, img.element_set() <= fs_q.element_set()))
-    return inst, []
+        if N.element_set() <= fs_g.element_set():
+            img, fs_q = _fstar_images(ctx, N, fs_g)
+            yield img.element_set() <= fs_q.element_set()
 
 
-def _enc_l2123(ctx, params):
-    G = ctx.group
-    fs = generalized_fitting(G)
+def _enc_l2123(ctx, params, wit):
+    fs = generalized_fitting(ctx.group)
     fit = ctx.fitting()
     ok = fit.element_set() <= fs.element_set()
     _sub(ctx, fs)
-    ok = ok and _fstar(ctx, fs).key == fs.key
+    ok = ok and _fstar(fs).key == fs.key
     if is_soluble(fs):
         ok = ok and fs.key == fit.key
-    return [(True, ok)], []
+    yield ok
 
 
-def _enc_l2124(ctx, params):
-    fs = generalized_fitting(ctx.group)
-    cent = centralizer(ctx.group, fs)
-    return [(True, cent.element_set() <= ctx.fitting().element_set())], []
+def _enc_l2124(ctx, params, wit):
+    cent = centralizer(ctx.group, generalized_fitting(ctx.group))
+    yield cent.element_set() <= ctx.fitting().element_set()
 
 
-def _enc_l2125(ctx, params):
-    from .structure import layer
-
+def _enc_l2125(ctx, params, wit):
     G = ctx.group
     fs = generalized_fitting(G)
     fit = ctx.fitting()
     E = layer(G)
     joined = ctx.generated(tuple(fit.generators) + tuple(E.generators))
     ok = joined.key == fs.key
-    ectx = _sub(ctx, E)
-    ZE = ectx.center()
+    ZE = _sub(ctx, E).center()
     ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()
-    if ok:
-        if E.order == ZE.order:
-            quot_ok = True
-        else:
-            quot_ok = _semisimple_nonabelian(quotient(E, ZE).group)
-        ok = quot_ok
-    return [(True, ok)], []
+    yield ok and (E.order == ZE.order
+                  or _semisimple_nonabelian(quotient(E, ZE).group))
 
 
-def _enc_l2131(ctx, params):
-    inst = []
+def _enc_l2131(ctx, params, wit):
     fs_g = generalized_fitting(ctx.group)
     for H in ctx.normal_subgroups():
-        if not is_soluble(H):
-            inst.append((False, True))
-            continue
-        phi = _sub(ctx, H).frattini()
-        qctx, hom = ctx.quotient_ctx(phi)
-        img = hom.image_of_subgroup(fs_g)
-        inst.append((True, img.key == generalized_fitting(qctx.group).key))
-    return inst, []
+        if is_soluble(H):
+            img, fs_q = _fstar_images(ctx, _sub(ctx, H).frattini(), fs_g)
+            yield img.key == fs_q.key
 
 
-def _enc_l2132(ctx, params):
-    inst = []
+def _enc_l2132(ctx, params, wit):
     fs_g = generalized_fitting(ctx.group)
     zset = ctx.center().element_set()
     for K in ctx.normal_subgroups():
-        primes = prime_divisors(K.order)
-        hyp = K.order > 1 and len(primes) == 1 and K.element_set() <= zset
-        if not hyp:
-            inst.append((False, True))
-            continue
-        qctx, hom = ctx.quotient_ctx(K)
-        img = hom.image_of_subgroup(fs_g)
-        inst.append((True, img.key == generalized_fitting(qctx.group).key))
-    return inst, []
+        if K.order > 1 and len(prime_divisors(K.order)) == 1 \
+                and K.element_set() <= zset:
+            img, fs_q = _fstar_images(ctx, K, fs_g)
+            yield img.key == fs_q.key
 
 
-def _enc_l31(ctx, params):
+def _enc_l31(ctx, params, wit):
     G = ctx.group
-    wit = []
     if G.order == 1:
-        return [(True, True)], wit
+        yield True, True
+        return
     p = min(ctx.primes())
-    P = ctx.sylow(p)
-    lhs = True
-    for M in ctx.maximal_subgroups_of(P):
-        v = is_fs_quasinormal(G, M, "S")
-        if not v.holds:
-            lhs = False
-            if _recheck_fsq(ctx, M, "S", False):
-                wit.append({"kind": "fsq_failure", "formation": "S",
-                            "subgroup": _gens_json(M),
-                            "sylow_prime": p, "rechecked": True})
-            else:
-                wit.append(_recheck_failed("fsq_failure", M))
-            break
-    rhs = is_soluble(G)
-    return [(lhs, rhs)], wit
+    M = next((M for M in ctx.maximal_subgroups_of(ctx.sylow(p))
+              if not is_fs_quasinormal(G, M, "S").holds), None)
+    if M is not None:
+        if _recheck_fsq(ctx, M, "S", False):
+            wit.append({"kind": "fsq_failure", "formation": "S",
+                        "subgroup": _gens_json(M),
+                        "sylow_prime": p, "rechecked": True})
+        else:
+            wit.append(_recheck_failed("fsq_failure", M))
+    yield M is None, is_soluble(G)
 
 
-def _enc_t32(ctx, params):
+def _enc_t32(ctx, params, wit):
     G = ctx.group
     triv = ctx.trivial_subgroup()
     pairs = [(G, triv)]
-    wit = []
     if G.order <= 120:
         classes = ctx.subgroup_classes()
         a_classes = [c for c in classes if ctx.is_subnormal(c[0])[0]]
@@ -622,44 +507,35 @@ def _enc_t32(ctx, params):
                                 (A.key, B.key) != (G.key, triv.key):
                             pairs.append((A, B))
     concl = is_supersoluble(G)
-    inst = []
     for A, B in pairs:
-        hyp, failing = _maximals_condition(ctx, A, only_noncyclic=True,
-                                           allow_supplement=False)
-        inst.append((hyp, concl if hyp else True))
-        if hyp and B.order == 1:
-            wit.append({"kind": "b_trivial_factorization",
-                        "a": _gens_json(A), "note": "B = 1 included by policy"})
-    return inst, wit
+        if _maximals_condition(ctx, A, only_noncyclic=True,
+                               allow_supplement=False):
+            if B.order == 1:
+                wit.append({"kind": "b_trivial_factorization",
+                            "a": _gens_json(A),
+                            "note": "B = 1 included by policy"})
+            yield concl
 
 
-def _enc_t33(ctx, params):
+def _enc_t33(ctx, params, wit):
     F = params["formation"]
     concl = in_formation(ctx.group, F)
-    inst = []
     for H in ctx.normal_subgroups():
         if not quotient_in_formation(ctx, H, F):
-            inst.append((False, True))
             continue
         _sub(ctx, H)
-        target = _fstar(ctx, H)
-        hyp, _ = _maximals_condition(ctx, target, only_noncyclic=True,
-                                     allow_supplement=True)
-        inst.append((hyp, concl if hyp else True))
-    return inst, []
+        if _maximals_condition(ctx, _fstar(H), only_noncyclic=True,
+                               allow_supplement=True):
+            yield concl
 
 
-def _enc_l41(ctx, params):
+def _enc_l41(ctx, params, wit):
     p, n = params["p"], params["n"]
     G = ctx.group
-    P = ctx.sylow(p)
-    wit = []
-    hyp = True
-    for M in ctx.n_maximal_subgroups_of(P, n):
+    for M in ctx.n_maximal_subgroups_of(ctx.sylow(p), n):
         v = has_f_supplement(G, M, "p_nilpotent", p)
         if not v.holds:
-            hyp = False
-            break
+            return
         if v.witness is not None and not wit:
             if _recheck_supplement(ctx, M, v.witness):
                 wit.append({"kind": "supplement", "p": p, "n": n,
@@ -668,61 +544,50 @@ def _enc_l41(ctx, params):
                             "rechecked": True})
             else:
                 wit.append(_recheck_failed("supplement", M))
-    return [(hyp, is_p_nilpotent(G, p) if hyp else True)], wit
+    yield is_p_nilpotent(G, p)
 
 
-def _enc_l42(ctx, params):
+def _enc_l42(ctx, params, wit):
     p, n = params["p"], params["n"]
-    G = ctx.group
-    P = ctx.sylow(p)
-    hyp = all(has_f_supplement(G, M, "p_nilpotent", p).holds or _fsq(ctx, M, "U")
-              for M in ctx.n_maximal_subgroups_of(P, n))
-    return [(hyp, is_p_nilpotent(G, p) if hyp else True)], []
+    if _n_maximals_embedded(ctx, ctx.sylow(p), p, n):
+        yield is_p_nilpotent(ctx.group, p)
 
 
-def _enc_t43(ctx, params):
+def _enc_t43(ctx, params, wit):
     p, n = params["p"], params["n"]
-    G = ctx.group
-    lhs = is_p_nilpotent(G, p)
-    rhs = False
-    for E in ctx.normal_subgroups():
-        if not _quotient_p_nilpotent(ctx, E, p):
-            continue
-        P = ctx.sylow_of_subgroup(E, p)[0]
-        if all(has_f_supplement(G, M, "p_nilpotent", p).holds or _fsq(ctx, M, "U")
-               for M in ctx.n_maximal_subgroups_of(P, n)):
-            rhs = True
-            break
-    return [(lhs, rhs)], []
+    yield is_p_nilpotent(ctx.group, p), any(
+        _quotient_p_nilpotent(ctx, E, p)
+        and _n_maximals_embedded(ctx, ctx.sylow_of_subgroup(E, p)[0], p, n)
+        for E in ctx.normal_subgroups())
 
 
-def _enc_t44(ctx, params):
+def _enc_t44(ctx, params, wit):
     p = params["p"]
-    G = ctx.group
-    lhs = is_p_nilpotent(G, p)
-    rhs = False
-    wit = []
-    for H in ctx.normal_subgroups():
-        if not is_soluble(H) or not _quotient_p_nilpotent(ctx, H, p):
-            continue
-        FH = _sub(ctx, H).fitting()
-        ok, failing = _maximals_condition(ctx, FH, only_noncyclic=False,
-                                          allow_supplement=False)
-        if ok:
-            rhs = True
-            wit.append({"kind": "qualifying_normal", "p": p,
-                        "subgroup": _gens_json(H)})
-            break
-    return [(lhs, rhs)], wit
+    lhs = is_p_nilpotent(ctx.group, p)
+    H = next((H for H in ctx.normal_subgroups()
+              if is_soluble(H) and _quotient_p_nilpotent(ctx, H, p)
+              and _maximals_condition(ctx, _sub(ctx, H).fitting(),
+                                      only_noncyclic=False,
+                                      allow_supplement=False)), None)
+    if H is not None:
+        wit.append({"kind": "qualifying_normal", "p": p,
+                    "subgroup": _gens_json(H)})
+    yield lhs, H is not None
 
 
 _ENCODERS: dict[str, Callable] = {
-    "L2.1a": _enc_l21a, "L2.1b": _enc_l21b, "L2.1c": _enc_l21c,
-    "L2.1d": _enc_l21d, "L2.1e": _enc_l21e,
-    "L2.2.1": _enc_l221, "L2.2.2": _enc_l222, "L2.2.3": _enc_l223,
-    "L2.2.4": _enc_l224, "L2.2.5": _enc_l225, "L2.2.6": _enc_l226,
+    "L2.1a": _hereditary(_sperm, _class_reps),
+    "L2.1b": _corresponds(_sperm),
+    "L2.1c": _enc_l21c, "L2.1d": _enc_l21d, "L2.1e": _enc_l21e,
+    "L2.2.1": _enc_l221,
+    "L2.2.2": _corresponds(_fsq_of),
+    "L2.2.3": _enc_l223,
+    "L2.2.4": _hereditary(_fsq_of, _class_reps),
+    "L2.2.5": _hereditary(_fsq_of, lambda ctx: ctx.normal_subgroups()),
+    "L2.2.6": _enc_l226,
     "L2.3": _enc_l23, "L2.4": _enc_l24, "L2.5": _enc_l25, "L2.6": _enc_l26,
-    "L2.7.1": _enc_l271, "L2.7.2": _enc_l272,
+    "L2.7.1": _enc_l271,
+    "L2.7.2": _hereditary(_supplement, _class_reps),
     "L2.8": _enc_l28, "L2.9": _enc_l29, "L2.10": _enc_l210, "L2.11": _enc_l211,
     "L2.12.1": _enc_l2121, "L2.12.2": _enc_l2122, "L2.12.3": _enc_l2123,
     "L2.12.4": _enc_l2124, "L2.12.5": _enc_l2125,
@@ -756,26 +621,20 @@ def verify_case(G: Group, theorem_id: str, params: dict) -> CaseResult:
     """Evaluate one theorem encoding for one group and parameter set."""
     direction = "iff" if theorem_id in IFF_IDS else "implication"
     imported = theorem_id in IMPORTED_IDS
-    ctx = context_of(G)
-    instances, witnesses = _ENCODERS[theorem_id](ctx, params)
+    witnesses: list = []
+    yielded = list(_ENCODERS[theorem_id](context_of(G), params, witnesses))
     if direction == "iff":
-        bad = [(a, b) for a, b in instances if a != b]
+        bad = [(a, b) for a, b in yielded if a != b]
         if bad:
             hyp, concl = bad[0]
             verdict = "fail"
         else:
-            hyp = any(a for a, _ in instances)
-            concl = any(b for _, b in instances)
-            verdict = "pass" if instances else "vacuous"
+            hyp = any(a for a, _ in yielded)
+            concl = any(b for _, b in yielded)
+            verdict = "pass" if yielded else "vacuous"
     else:
-        hyp = any(h for h, _ in instances)
-        concl = all(c for h, c in instances if h)
-        if any(h and not c for h, c in instances):
-            verdict = "fail"
-        elif not hyp:
-            verdict = "vacuous"
-        else:
-            verdict = "pass"
+        hyp, concl = bool(yielded), all(yielded)
+        verdict = "fail" if not concl else "pass" if hyp else "vacuous"
     if any(w["kind"] == "recheck_failed" for w in witnesses):
         verdict = "fail"
     return CaseResult(theorem_id=theorem_id, params=dict(params),

@@ -123,3 +123,35 @@ def test_store_does_not_depend_on_a_fixed_temp_name(cache_env):
     assert blocker.is_dir()
     assert sorted(p.name for p in cache_env.iterdir()) == sorted(
         [blocker.name, f"{cache.group_cache_key(G)}.lattice"])
+
+
+def _sub_lines(path) -> list[str]:
+    return [line for line in path.read_text().splitlines()
+            if line.startswith("sub ")]
+
+
+def _replace_sub_line(path, i, text) -> None:
+    """Replace the i-th `sub` line of a cache file (0 = the trivial group)."""
+    lines = path.read_text().splitlines()
+    lines[lines.index(_sub_lines(path)[i])] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_line_that_is_not_a_subgroup_fails_loudly(cache_env):
+    """{(), (2 3), (1 2)} generates all of S3: the loaded lattice would list
+    S3 twice and lose an order-2 subgroup."""
+    G = symmetric(3)
+    cache.store_lattice(G, context_of(G).all_subgroups())
+    p = next(cache_env.glob("*.lattice"))
+    _replace_sub_line(p, 1, "sub 0 1 2")
+    with pytest.raises(CacheError, match="not a subgroup"):
+        cache.load_lattice(G)
+
+
+def test_line_repeating_a_subgroup_fails_loudly(cache_env):
+    G = symmetric(3)
+    cache.store_lattice(G, context_of(G).all_subgroups())
+    p = next(cache_env.glob("*.lattice"))
+    _replace_sub_line(p, 1, _sub_lines(p)[2])
+    with pytest.raises(CacheError, match="repeats a subgroup"):
+        cache.load_lattice(G)

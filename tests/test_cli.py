@@ -83,6 +83,15 @@ def test_check_bad_subgroup_generators():
     assert r.returncode == 2
 
 
+def test_stray_generators_are_rejected_before_closing_them():
+    """(1 2) with a 9-cycle generates S9: the check must come before the
+    closure, which enumerated all of S9 before failing with exit 3."""
+    r = run("check", "s-perm", "--group", "cyclic(9)",
+            "--subgroup", "(1 2),(1 2 3 4 5 6 7 8 9)", timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "generators do not lie in the ambient group" in r.stderr
+
+
 def test_lattice_command():
     r = run("lattice", "symmetric(4)")
     assert r.returncode == 0
