@@ -13,7 +13,8 @@ from grouplab import (
     sylow,
     sylow_all,
 )
-from grouplab.lattice import named_subgroup
+from grouplab.context import context_of
+from grouplab.structure import generalized_fitting
 
 S4 = builtin_group("symmetric(4)")
 print(f"S4: order {S4.order} on {S4.degree} points")
@@ -24,9 +25,10 @@ print("  normal subgroup orders:",
       [N.order for N in normal_subgroups(S4)])
 print("  Sylow 2-subgroup order:", sylow(S4, 2).order,
       f"({len(sylow_all(S4, 2))} conjugates)")
-print("  Fitting:", named_subgroup(S4, "fitting").order,
-      " Frattini:", named_subgroup(S4, "frattini").order,
-      " F*:", named_subgroup(S4, "generalized_fitting").order)
+ctx = context_of(S4)
+print("  Fitting:", ctx.fitting().order,
+      " Frattini:", ctx.frattini().order,
+      " F*:", generalized_fitting(S4).order)
 print("  derived series orders:",
       [t.order for t in series(S4, "derived").chain])
 print("  chief series orders:",

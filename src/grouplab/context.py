@@ -5,8 +5,16 @@ quasinormality, theorem encodings) works through a :class:`GroupContext`,
 which memoizes the expensive objects: element conjugacy classes, the normal
 subgroup list, the full subgroup lattice, Sylow classes, quotients and
 per-subgroup predicates.  Every such value lives in the context's one memo
-table, :meth:`GroupContext.memo`.  Contexts are created once per ambient
-group and shared; all contained data is immutable after computation.
+table, :meth:`GroupContext.memo`.  Contexts are created once per group and
+shared; all contained data is immutable after computation.
+
+Subgroups live in one registry per ambient group.  A root context, one made
+for a group that no registry produced, owns a registry that holds one
+:class:`Group` object per element set.  Every subgroup built in the root's
+tree goes into it, and ``context_of(H)`` for such a subgroup returns a
+context in the same tree: it shares the root's registry and reads its
+lattice off the root's.  No linking call is needed.  Quotient groups are
+built outside any registry, so each quotient context is a root of its own.
 """
 
 from __future__ import annotations
@@ -23,27 +31,24 @@ T = TypeVar("T")
 _MISSING = object()
 
 _CONTEXTS: dict[tuple[int, frozenset], "GroupContext"] = {}
+# (degree, element set) of every registered subgroup -> the root context
+# whose registry holds it
+_ROOTS: dict[tuple[int, frozenset], "GroupContext"] = {}
 
 
-def context_of(G: Group, parent: Optional["GroupContext"] = None) -> "GroupContext":
-    """The (cached) analysis context of G."""
+def context_of(G: Group) -> "GroupContext":
+    """The (cached) analysis context of G, in the tree of the registry that
+    holds G's element set, if any."""
     ck = (G.degree, G.key)
     ctx = _CONTEXTS.get(ck)
     if ctx is None:
-        ctx = GroupContext(G, None)
-        _CONTEXTS[ck] = ctx
-    if ctx._parent is None and parent is not None and parent is not ctx:
-        # never create a cycle in the parent chain
-        p = parent
-        while p is not None and p is not ctx:
-            p = p._parent
-        if p is None:
-            ctx._parent = parent
+        ctx = _CONTEXTS[ck] = GroupContext(G, _ROOTS.get(ck))
     return ctx
 
 
 def clear_contexts() -> None:
     _CONTEXTS.clear()
+    _ROOTS.clear()
 
 
 def subgroup_sort_key(H: Group) -> tuple:
@@ -69,10 +74,15 @@ def _memoized(method):
 class GroupContext:
     """Memoized derived data for one ambient group."""
 
-    def __init__(self, G: Group, parent: Optional["GroupContext"] = None):
+    def __init__(self, G: Group, root: Optional["GroupContext"] = None):
         self.group = G
-        self._parent = parent
-        self._registry: dict[frozenset, Group] = {G.key: G}
+        # None in a root, so that no root refers to itself and each one is
+        # freed as soon as clear_contexts drops it.  A root's registry is
+        # shared by every context in its tree: element set -> the tree's
+        # one Group object for it
+        self._root = root
+        self._registry: dict[frozenset, Group] = (
+            {G.key: G} if root is None else root._registry)
         # table name -> key -> value; tables are created on first use
         self._memo: dict[str, dict] = {}
 
@@ -90,13 +100,19 @@ class GroupContext:
     # subgroup registry
 
     def subgroup(self, elements) -> Group:
-        """Canonical Group object for a closed element set inside the ambient."""
-        key = frozenset(p.images for p in elements)
-        H = self._registry.get(key)
+        """The tree's one Group object for a closed element set inside the
+        ambient."""
+        H = self._registry.get(frozenset(p.images for p in elements))
         if H is None:
-            H = from_elements(self.group.degree, elements)
-            self._registry[key] = H
+            H = self._register(from_elements(self.group.degree, elements))
         return H
+
+    def _register(self, H: Group) -> Group:
+        """The tree's object for H's element set; H itself when it is new."""
+        known = self._registry.setdefault(H.key, H)
+        if known is H:
+            _ROOTS.setdefault((H.degree, H.key), self._root or self)
+        return known
 
     def generated(self, gens) -> Group:
         elems = closure(self.group.degree, list(gens))
@@ -190,18 +206,15 @@ class GroupContext:
     @_memoized
     def all_subgroups(self) -> tuple[Group, ...]:
         """Every subgroup, by bottom-up join closure seeded with cyclic subgroups."""
-        parent = self._parent
-        if parent is not None and parent.group.degree == self.group.degree:
+        if self._root is not None:
             mine = self.group.element_set()
-            return tuple(H for H in parent.all_subgroups()
+            return tuple(H for H in self._root.all_subgroups()
                          if H.element_set() <= mine)
         from . import cache as _cache
         if _cache.enabled():
             cached = _cache.load_lattice(self.group)
             if cached is not None:
-                for H in cached:
-                    self._registry.setdefault(H.key, H)
-                return tuple(self._registry[H.key] for H in cached)
+                return tuple(map(self._register, cached))
         degree = self.group.degree
         cyclics: dict[frozenset, Group] = {}
         ident = identity(degree)
@@ -336,9 +349,7 @@ class GroupContext:
 
     @_memoized
     def center(self) -> Group:
-        gens = self.group.generators
-        return self.subgroup([e for e in self.group.elements()
-                              if all(e * g == g * e for g in gens)])
+        return self.chief_centralizer(self.trivial_subgroup(), self.group)
 
     @_memoized
     def frattini(self) -> Group:
@@ -464,6 +475,9 @@ class GroupContext:
         return tuple(pairs)
 
     def chief_centralizer(self, lower: Group, upper: Group) -> Group:
+        """C_G(upper/lower): the elements of G whose commutator with every
+        element of upper lies in lower.  For lower = 1 this is C_G(upper);
+        for upper = G and lower normal, the preimage of Z(G/lower)."""
         lset = lower.element_set()
         out = []
         for g in self.group.elements():

@@ -130,16 +130,12 @@ def f_hypercenter(G: Group, formation: str) -> Group:
 def _hypercenter_ascent(ctx: GroupContext, formation: str) -> Group:
     G = ctx.group
     Z = ctx.trivial_subgroup()
-    normals = ctx.normal_subgroups()
+    pairs = ctx.chief_pairs()
     while True:
-        zset = Z.element_set()
         gens = list(Z.generators)
         grew = False
-        for M in normals:
-            if M.order <= Z.order or not zset < M.element_set():
-                continue
-            if any(zset < L.element_set() < M.element_set()
-                   for L in normals):
+        for lower, M in pairs:
+            if lower.key != Z.key:
                 continue
             cf = ChiefFactor(upper=M, lower=Z,
                              centralizer=ctx.chief_centralizer(Z, M),

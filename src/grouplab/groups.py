@@ -52,7 +52,10 @@ class Group:
                  "_hash")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
-                 *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER):
+                 *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER,
+                 _closure: Optional[set[Permutation]] = None):
+        # _closure: the element set of the generators, when the caller has
+        # just computed it
         gens = tuple(g for g in generators if not g.is_identity())
         for g in gens:
             if g.degree != degree:
@@ -62,7 +65,8 @@ class Group:
             raise ValueError("degree must be >= 1")
         if degree > MAX_DEGREE and not _skip_degree_check:
             raise BoundExceededError(f"degree {degree} exceeds desk bound {MAX_DEGREE}")
-        elems = closure(degree, gens, limit=_max_order)
+        elems = (closure(degree, gens, limit=_max_order) if _closure is None
+                 else _closure)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_elements", tuple(sorted(elems, key=_images)))
@@ -119,18 +123,21 @@ def trivial_group(degree: int = 1) -> Group:
 
 
 def from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
-    """Subgroup object from a known-closed element set, with greedy generators."""
+    """Subgroup object from a known-closed element set, with greedy generators.
+
+    Its element set is the closure the greedy loop computed last, so an
+    element list that is not closed gives a larger group, never itself.
+    """
     elems = sorted(e for e in elements if not e.is_identity())
     gens: list[Permutation] = []
-    if elems:
-        have = {identity(degree)}
-        for e in elems:
-            if e not in have:
-                gens.append(e)
-                have = closure(degree, gens)
-                if len(have) == len(elems) + 1:
-                    break
-    return Group(degree, gens, _skip_degree_check=True)
+    have = {identity(degree)}
+    for e in elems:
+        if e not in have:
+            gens.append(e)
+            have = closure(degree, gens, limit=MAX_ORDER)
+            if len(have) == len(elems) + 1:
+                break
+    return Group(degree, gens, _skip_degree_check=True, _closure=have)
 
 
 def closure(degree: int, gens: Sequence[Permutation],
@@ -344,17 +351,4 @@ def semidirect_product(N: Group, Q: Group,
             f"action is not faithful or not a homomorphism: got order "
             f"{result.order}, expected {N.order * Q.order}")
     return result
-
-
-def centralizer(G: Group, target) -> Group:
-    """Centralizer of an element or subgroup of G."""
-    if isinstance(target, Permutation):
-        targets = [target]
-        if target not in G:
-            raise NotASubgroupError("target element is not in G")
-    else:
-        require_subgroup(target, G, "target")
-        targets = list(target.generators)
-    elems = [g for g in G.elements() if all(g * t == t * g for t in targets)]
-    return from_elements(G.degree, elems)
 

@@ -1,6 +1,7 @@
-"""Subgroup lattices: enumeration up to conjugacy, Sylow/Hall subgroups,
-maximal and n-maximal subgroups, cores, subnormality and named normal
-subgroups (O_p, O_pi', O^p, Phi, F, socle)."""
+"""Subgroup lattices: enumeration up to conjugacy, normal, maximal, Sylow and
+Hall subgroups.  Cores, subnormality, n-maximal subgroups and named normal
+subgroups are :class:`~grouplab.context.GroupContext` methods; the layer and
+F* are in :mod:`grouplab.structure`."""
 
 from __future__ import annotations
 
@@ -17,14 +18,9 @@ __all__ = [
     "enumerate_subgroups",
     "normal_subgroups",
     "maximal_subgroups",
-    "n_maximal",
     "sylow",
     "sylow_all",
     "hall",
-    "named_subgroup",
-    "core",
-    "is_subnormal",
-    "SubnormalResult",
 ]
 
 
@@ -80,11 +76,6 @@ def maximal_subgroups(H: Group, ambient: Optional[Group] = None) -> tuple[Group,
     return ctx.maximal_subgroups_of(H)
 
 
-def n_maximal(H: Group, n: int, ambient: Optional[Group] = None) -> tuple[Group, ...]:
-    ctx = context_of(ambient if ambient is not None else H)
-    return ctx.n_maximal_subgroups_of(H, n)
-
-
 def sylow(G: Group, p: int) -> Group:
     return context_of(G).sylow(p)
 
@@ -97,45 +88,3 @@ def hall(G: Group, pi) -> tuple[Optional[Group], bool]:
     """A Hall pi-subgroup if one exists, plus whether all of them are conjugate."""
     return context_of(G).hall(pi)
 
-
-def core(G: Group, H: Group) -> Group:
-    return context_of(G).core(H)
-
-
-@dataclass(frozen=True)
-class SubnormalResult:
-    flag: bool
-    defect: int
-
-
-def is_subnormal(G: Group, H: Group) -> SubnormalResult:
-    flag, defect = context_of(G).is_subnormal(H)
-    return SubnormalResult(flag, defect)
-
-
-def named_subgroup(G: Group, kind: str, p: Optional[int] = None,
-                   pi=None) -> Group:
-    """center | frattini | fitting | socle | O_p | O_pi_prime | O_upper_p |
-    layer | generalized_fitting."""
-    ctx = context_of(G)
-    if kind == "center":
-        return ctx.center()
-    if kind == "frattini":
-        return ctx.frattini()
-    if kind == "fitting":
-        return ctx.fitting()
-    if kind == "socle":
-        return ctx.socle()
-    if kind == "O_p":
-        return ctx.O_p(p)
-    if kind == "O_pi_prime":
-        return ctx.O_pi_prime(pi)
-    if kind == "O_upper_p":
-        return ctx.O_upper_p(p)
-    if kind == "layer":
-        from .structure import layer
-        return layer(G)
-    if kind == "generalized_fitting":
-        from .structure import generalized_fitting
-        return generalized_fitting(G)
-    raise ValueError(f"unknown named subgroup kind: {kind!r}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import GroupContext, context_of, subgroup_sort_key
+from .context import GroupContext, context_of
 from .groups import Group
 from .perms import Permutation
 from .primes import is_prime, p_part, require_prime
@@ -74,42 +74,22 @@ def series(G: Group, kind: str) -> Series:
     if kind == "upper_central":
         chain = [ctx.trivial_subgroup()]
         while True:
-            nxt = _center_over(ctx, chain[-1])
+            # the preimage of Z(G/term), term normal
+            nxt = ctx.chief_centralizer(chain[-1], G)
             if nxt.order == chain[-1].order:
                 break
             chain.append(nxt)
         return Series("upper_central", tuple(chain))
     if kind == "chief":
         chain = [ctx.trivial_subgroup()]
-        normals = ctx.normal_subgroups()
+        pairs = ctx.chief_pairs()
         while chain[-1].order < G.order:
-            cur = chain[-1]
-            cset = cur.element_set()
-            # minimal normal subgroups of G/cur, pulled back: normals M > cur
-            # with nothing normal strictly between
-            candidates = []
-            for M in normals:
-                if M.order <= cur.order or not cset < M.element_set():
-                    continue
-                if any(cset < L.element_set() < M.element_set()
-                       for L in normals):
-                    continue
-                candidates.append(M)
-            candidates.sort(key=subgroup_sort_key)
-            chain.append(candidates[0])
+            # the covers of a term come in subgroup_sort_key order
+            key = chain[-1].key
+            chain.append(next(upper for lower, upper in pairs
+                              if lower.key == key))
         return Series("chief", tuple(chain))
     raise ValueError(f"unknown series kind: {kind!r}")
-
-
-def _center_over(ctx: GroupContext, Z: Group) -> Group:
-    """Preimage in G of the center of G/Z."""
-    zset = Z.element_set()
-    out = []
-    for g in ctx.group.elements():
-        ginv = g.inverse()
-        if all((ginv * h.inverse() * g * h) in zset for h in ctx.group.generators):
-            out.append(g)
-    return ctx.subgroup(out)
 
 
 def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .context import GroupContext, context_of
 from .formations import FORMATIONS, in_formation, quotient_in_formation
-from .groups import Group, centralizer, product_size, quotient, set_product
+from .groups import Group, product_size, quotient, set_product
 from .perms import to_cycles
 from .primes import is_prime, p_part, prime_divisors
 from .quasinormal import (
@@ -76,16 +76,6 @@ class CaseResult:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _sub(ctx: GroupContext, H: Group) -> GroupContext:
-    """Analysis context of a subgroup, sharing the ambient lattice.
-
-    Calls whose result is discarded stay on purpose: they link H's context
-    to ctx, so when a later predicate on H needs H's lattice it filters the
-    ambient one instead of enumerating it again.
-    """
-    return context_of(H, parent=ctx)
 
 
 def _gens_json(H: Group) -> dict:
@@ -162,7 +152,6 @@ def _semisimple_nonabelian(T: Group) -> bool:
     tctx = context_of(T)
     mins = tctx.minimal_normal_subgroups()
     for M in mins:
-        _sub(tctx, M)
         if is_prime(M.order) or not is_simple(M):
             return False
     return _direct_span_equals(tctx, list(mins), T)
@@ -244,7 +233,7 @@ def _hereditary(pred, containers):
     and every H <= K."""
     def encode(ctx, params, wit):
         for K in containers(ctx):
-            kctx = _sub(ctx, K)
+            kctx = context_of(K)
             for H in ctx.subgroups_of(K):
                 if pred(ctx, H, params):
                     yield pred(kctx, H, params)
@@ -282,7 +271,7 @@ def _enc_l21d(ctx, params, wit):
 def _enc_l21e(ctx, params, wit):
     sperm = _sperm_subgroups(ctx)
     for M in _class_reps(ctx):
-        mctx = _sub(ctx, M)
+        mctx = context_of(M)
         mset = M.element_set()
         for H in sperm:
             yield _sperm(mctx, ctx.subgroup(sorted(H.element_set() & mset)))
@@ -343,7 +332,6 @@ def _enc_l25(ctx, params, wit):
     for N in ctx.normal_subgroups():
         if N.order == 1:
             continue
-        _sub(ctx, N)
         nset = N.element_set()
         if is_nilpotent(N) and len(nset & phi.element_set()) == 1:
             inside = [M for M in mins if M.element_set() <= nset]
@@ -378,7 +366,7 @@ def _enc_l29(ctx, params, wit):
     F = params["formation"]
     yield in_formation(ctx.group, F), any(
         is_soluble(E) and quotient_in_formation(ctx, E, F)
-        and _maximals_condition(ctx, _sub(ctx, E).fitting(),
+        and _maximals_condition(ctx, context_of(E).fitting(),
                                 only_noncyclic=True, allow_supplement=True)
         for E in ctx.normal_subgroups())
 
@@ -403,7 +391,6 @@ def _enc_l211(ctx, params, wit):
 def _enc_l2121(ctx, params, wit):
     fset = generalized_fitting(ctx.group).element_set()
     for N in ctx.normal_subgroups():
-        _sub(ctx, N)
         yield _fstar(N).element_set() <= fset
 
 
@@ -419,7 +406,6 @@ def _enc_l2123(ctx, params, wit):
     fs = generalized_fitting(ctx.group)
     fit = ctx.fitting()
     ok = fit.element_set() <= fs.element_set()
-    _sub(ctx, fs)
     ok = ok and _fstar(fs).key == fs.key
     if is_soluble(fs):
         ok = ok and fs.key == fit.key
@@ -427,7 +413,8 @@ def _enc_l2123(ctx, params, wit):
 
 
 def _enc_l2124(ctx, params, wit):
-    cent = centralizer(ctx.group, generalized_fitting(ctx.group))
+    cent = ctx.chief_centralizer(ctx.trivial_subgroup(),
+                                 generalized_fitting(ctx.group))
     yield cent.element_set() <= ctx.fitting().element_set()
 
 
@@ -438,7 +425,7 @@ def _enc_l2125(ctx, params, wit):
     E = layer(G)
     joined = ctx.generated(tuple(fit.generators) + tuple(E.generators))
     ok = joined.key == fs.key
-    ZE = _sub(ctx, E).center()
+    ZE = context_of(E).center()
     ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()
     yield ok and (E.order == ZE.order
                   or _semisimple_nonabelian(quotient(E, ZE).group))
@@ -448,7 +435,7 @@ def _enc_l2131(ctx, params, wit):
     fs_g = generalized_fitting(ctx.group)
     for H in ctx.normal_subgroups():
         if is_soluble(H):
-            img, fs_q = _fstar_images(ctx, _sub(ctx, H).frattini(), fs_g)
+            img, fs_q = _fstar_images(ctx, context_of(H).frattini(), fs_g)
             yield img.key == fs_q.key
 
 
@@ -494,7 +481,7 @@ def _enc_t32(ctx, params, wit):
                 continue
             if not is_supersoluble(rep):
                 continue
-            rctx = _sub(ctx, rep)
+            rctx = context_of(rep)
             if all(is_cyclic(rctx.sylow(q)) for q in prime_divisors(rep.order)):
                 b_classes.append(c)
         for ac in a_classes:
@@ -523,7 +510,6 @@ def _enc_t33(ctx, params, wit):
     for H in ctx.normal_subgroups():
         if not quotient_in_formation(ctx, H, F):
             continue
-        _sub(ctx, H)
         if _maximals_condition(ctx, _fstar(H), only_noncyclic=True,
                                allow_supplement=True):
             yield concl
@@ -566,7 +552,7 @@ def _enc_t44(ctx, params, wit):
     lhs = is_p_nilpotent(ctx.group, p)
     H = next((H for H in ctx.normal_subgroups()
               if is_soluble(H) and _quotient_p_nilpotent(ctx, H, p)
-              and _maximals_condition(ctx, _sub(ctx, H).fitting(),
+              and _maximals_condition(ctx, context_of(H).fitting(),
                                       only_noncyclic=False,
                                       allow_supplement=False)), None)
     if H is not None:

@@ -6,17 +6,14 @@ from grouplab.catalog import builtin_group, symmetric
 from grouplab.context import context_of
 from grouplab.groups import closure
 from grouplab.lattice import (
-    core,
     enumerate_subgroups,
     hall,
-    is_subnormal,
     maximal_subgroups,
-    n_maximal,
-    named_subgroup,
     normal_subgroups,
     sylow,
     sylow_all,
 )
+from grouplab.structure import generalized_fitting
 
 
 def test_s4_subgroup_census():
@@ -102,9 +99,10 @@ def test_q8_unique_minimal_subgroup():
 def test_n_maximal():
     S4 = symmetric(4)
     P = sylow(S4, 2)
-    first = n_maximal(P, 1, ambient=S4)
+    ctx = context_of(S4)
+    first = ctx.n_maximal_subgroups_of(P, 1)
     assert all(M.order == 4 for M in first)
-    second = n_maximal(P, 2, ambient=S4)
+    second = ctx.n_maximal_subgroups_of(P, 2)
     assert all(M.order == 2 for M in second)
 
 
@@ -134,22 +132,24 @@ def test_hall():
 def test_core_and_subnormality():
     S4 = symmetric(4)
     P = sylow(S4, 2)
-    assert core(S4, P).order == 4  # V4
-    r = is_subnormal(S4, P)
-    assert not r.flag
-    A4 = named_subgroup(S4, "O_upper_p", p=2)
+    ctx = context_of(S4)
+    assert ctx.core(P).order == 4  # V4
+    flag, _ = ctx.is_subnormal(P)
+    assert not flag
+    A4 = ctx.O_upper_p(2)
     assert A4.order == 12
-    assert is_subnormal(S4, A4).flag
+    assert ctx.is_subnormal(A4)[0]
 
 
 def test_named_subgroups_s4():
     S4 = symmetric(4)
-    assert named_subgroup(S4, "fitting").order == 4
-    assert named_subgroup(S4, "frattini").order == 1
-    assert named_subgroup(S4, "center").order == 1
-    assert named_subgroup(S4, "socle").order == 4
-    assert named_subgroup(S4, "O_p", p=2).order == 4
-    assert named_subgroup(S4, "generalized_fitting").order == 4
+    ctx = context_of(S4)
+    assert ctx.fitting().order == 4
+    assert ctx.frattini().order == 1
+    assert ctx.center().order == 1
+    assert ctx.socle().order == 4
+    assert ctx.O_p(2).order == 4
+    assert generalized_fitting(S4).order == 4
 
 
 def test_subnormal_pi_subgroups_inside_o_pi():

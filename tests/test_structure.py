@@ -82,12 +82,13 @@ def test_p_group_and_p_nilpotent():
 
 _P_EQUALS_ONE = """
 from grouplab.catalog import symmetric
-from grouplab.lattice import named_subgroup, sylow
+from grouplab.context import context_of
+from grouplab.lattice import sylow
 from grouplab.structure import predicate
 
 G = symmetric(3)
 for call in (lambda: predicate(G, "p_group", 1), lambda: sylow(G, 1),
-             lambda: named_subgroup(G, "O_p", p=1)):
+             lambda: context_of(G).O_p(1)):
     try:
         call()
         print("returned")
@@ -208,11 +209,10 @@ def test_quasinilpotent():
 
 def test_fstar_contains_its_centralizer():
     """[DERIVED] C_G(F*(G)) <= F(G) on a structural sample."""
-    from grouplab.groups import centralizer
     for name in ["symmetric(4)", "SL(2,3)", "alternating(5)",
                  "symmetric(5)", "dicyclic(3)"]:
         G = builtin_group(name)
         fs = generalized_fitting(G)
         ctx = context_of(G)
-        assert (centralizer(G, fs).element_set()
-                <= ctx.fitting().element_set()), name
+        cent = ctx.chief_centralizer(ctx.trivial_subgroup(), fs)
+        assert cent.element_set() <= ctx.fitting().element_set(), name
