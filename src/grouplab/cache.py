@@ -14,8 +14,9 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+from .context import context_of
 from .errors import CacheError
-from .groups import Group, from_elements
+from .groups import Group
 
 __all__ = [
     "cache_dir",
@@ -103,6 +104,7 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
         subs = []
         keys = set()
         elems = G.elements()
+        ctx = context_of(G)   # closes each line on G's element index
         for line in lines[5:]:
             if not line.strip():
                 continue
@@ -110,7 +112,7 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             if kw != "sub":
                 raise CacheError(f"{path}: unexpected line {line!r}")
             members = [elems[int(i)] for i in rest.split()]
-            H = from_elements(G.degree, members)
+            H = ctx.subgroup(members)
             if H.order != len(members):
                 raise CacheError(f"{path}: {line!r} is not a subgroup")
             if H.key in keys:

@@ -1,0 +1,106 @@
+"""The element index of a group: its elements numbered 0..n-1 in image-tuple
+order, so the identity is 0, and a subgroup held as an int mask over them.
+
+Right multiplication by element j is column j of the Cayley table, filled
+on first use, so an index holds at most n^2 <= 10^6 ints.  Closure is
+Dimino's coset method: a subgroup grows by whole right cosets of a known
+subgroup, each the image of a listed coset under one generator column
+(Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
+ch. 3-4).
+"""
+
+from __future__ import annotations
+
+from math import gcd
+from typing import Iterable, Sequence
+
+from .perms import Permutation
+
+
+class ElementIndex:
+    """A group's elements by position, and its Cayley table by columns."""
+
+    __slots__ = ("elements", "_position", "_columns")
+
+    def __init__(self, elements: Sequence[Permutation]):
+        self.elements = tuple(elements)
+        self._position = {e.images: i for i, e in enumerate(self.elements)}
+        self._columns: list = [None] * len(self.elements)
+
+    def position(self, perm: Permutation) -> int:
+        return self._position[perm.images]
+
+    def column(self, j: int) -> list[int]:
+        """col[i] is the position of elements[i] * elements[j]."""
+        col = self._columns[j]
+        if col is None:
+            g = self.elements[j].images.__getitem__
+            position = self._position
+            col = self._columns[j] = [position[tuple(map(g, e.images))]
+                                      for e in self.elements]
+        return col
+
+    def extend(self, elems: list[int], mask: int,
+               gens: Sequence[int]) -> tuple[list[int], int]:
+        """Elements and mask of <gens> from those of a subgroup H of it, with
+        H's identity first.  Each new right coset of H is the image of a
+        listed one under a generator column."""
+        cols = [self.column(g) for g in gens]
+        size = len(elems)
+        elems = list(elems)
+        start = 0
+        while start < len(elems):
+            coset = elems[start:start + size]
+            for col in cols:
+                if not mask >> col[coset[0]] & 1:
+                    image = [col[x] for x in coset]
+                    elems += image
+                    for x in image:
+                        mask |= 1 << x
+            start += size
+        return elems, mask
+
+    def close(self, positions: Iterable[int]) -> tuple[list[int], list[int], int]:
+        """(generators, elements, mask) of the subgroup generated by the
+        elements at `positions`.  Each position not yet generated when it is
+        reached becomes a generator; with a subgroup's positions in
+        increasing order, this is ``from_elements``' greedy pick."""
+        gens: list[int] = []
+        elems, mask = [0], 1
+        for i in positions:
+            if not mask >> i & 1:
+                gens.append(i)
+                elems, mask = self.extend(elems, mask, gens)
+        return gens, elems, mask
+
+    def subgroups(self) -> dict[int, list[int]]:
+        """Every subgroup, mask -> elements: the cyclic subgroups, closed
+        under joins <H, C> with a cyclic C."""
+        # each cyclic subgroup is walked from its first generator, and its
+        # other generators are marked so that none is walked again
+        walked = bytearray(len(self.elements))
+        seeds = []
+        for e in range(1, len(self.elements)):
+            if not walked[e]:
+                col = self.column(e)
+                powers = [0, e]
+                while col[powers[-1]]:
+                    powers.append(col[powers[-1]])
+                for k in range(1, len(powers)):
+                    if gcd(k, len(powers)) == 1:
+                        walked[powers[k]] = 1
+                seeds.append((sum(1 << x for x in powers), powers, [e]))
+        found = {1: [0]}
+        found.update((mask, elems) for mask, elems, _ in seeds)
+        worklist = list(seeds)
+        while worklist:
+            hmask, helems, hgens = worklist.pop()
+            for cmask, _, cgens in seeds:
+                if not cmask & ~hmask or not hmask & ~cmask:
+                    continue   # one contains the other: the join is known
+                gens = hgens + cgens
+                elems, mask = self.extend(helems, hmask, gens)
+                if mask not in found:
+                    found[mask] = elems
+                    worklist.append((mask, elems, gens))
+        return found

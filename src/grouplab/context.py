@@ -15,6 +15,10 @@ tree goes into it, and ``context_of(H)`` for such a subgroup returns a
 context in the same tree: it shares the root's registry and reads its
 lattice off the root's.  No linking call is needed.  Quotient groups are
 built outside any registry, so each quotient context is a root of its own.
+
+Each root also owns the element index of its group
+(:class:`~grouplab.cayley.ElementIndex`): every context in the tree closes
+subgroups on that index, as int masks, and the registry is keyed by mask.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from __future__ import annotations
 from functools import wraps
 from typing import Callable, Optional, TypeVar
 
-from .groups import (Group, Homomorphism, closure, from_elements, quotient,
+from .cayley import ElementIndex
+from .groups import (Group, Homomorphism, is_normal_in, quotient,
                      require_subgroup)
-from .perms import Permutation, identity
+from .perms import Permutation
 from .primes import p_part, prime_divisors, require_prime
 
 T = TypeVar("T")
@@ -77,12 +82,16 @@ class GroupContext:
     def __init__(self, G: Group, root: Optional["GroupContext"] = None):
         self.group = G
         # None in a root, so that no root refers to itself and each one is
-        # freed as soon as clear_contexts drops it.  A root's registry is
-        # shared by every context in its tree: element set -> the tree's
-        # one Group object for it
+        # freed as soon as clear_contexts drops it.  A root's element index
+        # and registry, mask -> the tree's one Group with that element set,
+        # are shared by every context in its tree
         self._root = root
-        self._registry: dict[frozenset, Group] = (
-            {G.key: G} if root is None else root._registry)
+        if root is None:
+            self._index = ElementIndex(G.elements())
+            self._registry: dict[int, Group] = {(1 << G.order) - 1: G}
+        else:
+            self._index = root._index
+            self._registry = root._registry
         # table name -> key -> value; tables are created on first use
         self._memo: dict[str, dict] = {}
 
@@ -99,27 +108,30 @@ class GroupContext:
     # ------------------------------------------------------------------
     # subgroup registry
 
-    def subgroup(self, elements) -> Group:
-        """The tree's one Group object for a closed element set inside the
-        ambient."""
-        H = self._registry.get(frozenset(p.images for p in elements))
+    def generated(self, elements) -> Group:
+        """The tree's one Group object for the subgroup generated by these
+        elements of the ambient."""
+        _, elems, mask = self._index.close(map(self._index.position, elements))
+        return self._group(mask, elems)
+
+    # a closed element set generates itself
+    subgroup = generated
+
+    def _group(self, mask: int, elems: list[int]) -> Group:
+        """The tree's Group for the subgroup with this mask and element
+        positions, built on first use with its greedy generators."""
+        H = self._registry.get(mask)
         if H is None:
-            H = self._register(from_elements(self.group.degree, elements))
+            at = self._index.elements
+            H = self._registry[mask] = Group(
+                self.group.degree,
+                [at[i] for i in self._index.close(sorted(elems))[0]],
+                _skip_degree_check=True, _closure=[at[i] for i in elems])
+            _ROOTS.setdefault((H.degree, H.key), self._root or self)
         return H
 
-    def _register(self, H: Group) -> Group:
-        """The tree's object for H's element set; H itself when it is new."""
-        known = self._registry.setdefault(H.key, H)
-        if known is H:
-            _ROOTS.setdefault((H.degree, H.key), self._root or self)
-        return known
-
-    def generated(self, gens) -> Group:
-        elems = closure(self.group.degree, list(gens))
-        return self.subgroup(elems)
-
     def trivial_subgroup(self) -> Group:
-        return self.subgroup([identity(self.group.degree)])
+        return self._group(1, [0])
 
     # ------------------------------------------------------------------
     # conjugacy classes of elements
@@ -150,19 +162,20 @@ class GroupContext:
 
     def normal_closure_in(self, K: Group, H: Group) -> Group:
         """Normal closure of H inside the subgroup K (both within the ambient)."""
-        gens = list(H.generators)
-        elems = closure(self.group.degree, gens)
+        position = self._index.position
+        gens, elems, mask = self._index.close(map(position, H.generators))
+        at = self._index.elements
         changed = True
         while changed:
             changed = False
-            for s in list(gens):
+            for s in [at[i] for i in gens]:
                 for k in K.generators:
-                    c = k.inverse() * s * k
-                    if c not in elems:
+                    c = position(k.inverse() * s * k)
+                    if not mask >> c & 1:
                         gens.append(c)
-                        elems = closure(self.group.degree, gens)
+                        elems, mask = self._index.extend(elems, mask, gens)
                         changed = True
-        return self.subgroup(elems)
+        return self._group(mask, elems)
 
     @_memoized
     def normal_subgroups(self) -> tuple[Group, ...]:
@@ -183,7 +196,7 @@ class GroupContext:
                 if cls <= nset:
                     continue
                 # <N u cls> = <N.generators u cls>; keep the generating
-                # set small so the closure BFS stays linear in |M|
+                # set small, as each coset of the closure tries every one
                 M = self.generated(tuple(N.generators) + tuple(sorted(cls)))
                 if M.key not in found:
                     found[M.key] = M
@@ -196,58 +209,25 @@ class GroupContext:
                      if not any(M.key < N.key for M in normals))
 
     def is_normal(self, H: Group) -> bool:
-        hset = H.element_set()
-        return all(g.inverse() * h * g in hset
-                   for g in self.group.generators for h in H.generators)
+        return is_normal_in(H, self.group)
 
     # ------------------------------------------------------------------
     # the full subgroup lattice
 
     @_memoized
     def all_subgroups(self) -> tuple[Group, ...]:
-        """Every subgroup, by bottom-up join closure seeded with cyclic subgroups."""
+        """Every subgroup, sorted by (order, element key): on a root, the
+        index's join closure of the cyclic subgroups."""
         if self._root is not None:
-            mine = self.group.element_set()
-            return tuple(H for H in self._root.all_subgroups()
-                         if H.element_set() <= mine)
+            return self._root.subgroups_of(self.group)
         from . import cache as _cache
         if _cache.enabled():
             cached = _cache.load_lattice(self.group)
             if cached is not None:
-                return tuple(map(self._register, cached))
-        degree = self.group.degree
-        cyclics: dict[frozenset, Group] = {}
-        ident = identity(degree)
-        cyclics[frozenset((ident.images,))] = self.trivial_subgroup()
-        for e in self.group.elements():
-            if e.is_identity():
-                continue
-            # enumerate the powers of e directly; build a Group only
-            # once per distinct cyclic subgroup
-            powers = {e.images}
-            x = e * e
-            while x.images not in powers:
-                powers.add(x.images)
-                x = x * e
-            powers.add(ident.images)
-            ckey = frozenset(powers)
-            if ckey not in cyclics:
-                cyclics[ckey] = self.generated([e])
-        seeds = sorted(cyclics.values(), key=subgroup_sort_key)
-        found: dict[frozenset, Group] = {H.key: H for H in seeds}
-        worklist = list(seeds)
-        while worklist:
-            H = worklist.pop()
-            hset = H.element_set()
-            for C in seeds:
-                if C.element_set() <= hset:
-                    continue
-                gens = list(H.generators) + list(C.generators)
-                J = self.subgroup(closure(degree, gens))
-                if J.key not in found:
-                    found[J.key] = J
-                    worklist.append(J)
-        subgroups = tuple(sorted(found.values(), key=subgroup_sort_key))
+                return cached
+        found = sorted((len(elems), sorted(elems), mask)
+                       for mask, elems in self._index.subgroups().items())
+        subgroups = tuple(self._group(mask, elems) for _, elems, mask in found)
         if _cache.enabled():
             _cache.store_lattice(self.group, subgroups)
         return subgroups
@@ -327,9 +307,7 @@ class GroupContext:
         pp = p_part(K.order, p)
         if pp == 1:
             return (self.trivial_subgroup(),)
-        kset = K.element_set()
-        return tuple(H for H in self.all_subgroups()
-                     if H.order == pp and H.element_set() <= kset)
+        return tuple(H for H in self.subgroups_of(K) if H.order == pp)
 
     def hall(self, pi) -> tuple[Optional[Group], bool]:
         pi = frozenset(pi)
@@ -436,14 +414,17 @@ class GroupContext:
     # ------------------------------------------------------------------
     # quotients
 
-    @_memoized
     def quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
-        if N.order == 1:
-            # G/1 is G itself: reuse this context instead of a coset action
-            ident = Homomorphism(self.group, self.group,
-                                 self.group.generators,
-                                 {e: e for e in self.group.elements()})
-            return self, ident
+        if N.order > 1:
+            return self._quotient_ctx(N)
+        # G/1 is G: no coset action.  Memoizing only the homomorphism keeps
+        # the context free of references to itself
+        return self, self.memo("named", "identity_hom", lambda: Homomorphism(
+            self.group, self.group, self.group.generators,
+            {e: e for e in self.group.elements()}))
+
+    @_memoized
+    def _quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
         res = quotient(self.group, N)
         return context_of(res.group), res.epimorphism
 

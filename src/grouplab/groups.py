@@ -53,7 +53,7 @@ class Group:
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER,
-                 _closure: Optional[set[Permutation]] = None):
+                 _closure: Optional[Iterable[Permutation]] = None):
         # _closure: the element set of the generators, when the caller has
         # just computed it
         gens = tuple(g for g in generators if not g.is_identity())

@@ -3,14 +3,8 @@ core catalog."""
 
 import pytest
 
-from grouplab.catalog import (
-    CORE_GROUP_NAMES,
-    builtin_group,
-    build_core_entries,
-    core_catalog_path,
-    format_catalog,
-    load_catalog,
-)
+from _core_catalog import CORE_GROUP_NAMES, build_core_entries, format_catalog
+from grouplab.catalog import builtin_group, core_catalog_path, load_catalog
 from grouplab.errors import CatalogError
 
 

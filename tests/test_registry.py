@@ -1,7 +1,9 @@
 """One subgroup registry per ambient group: a subgroup's context shares the
 ambient's registry and lattice without any linking call."""
 
+import gc
 import inspect
+import weakref
 
 import pytest
 
@@ -28,14 +30,15 @@ def test_all_theorems_build_one_group_per_element_set(monkeypatch):
     theorems run on S4 lies in S4's tree, and is built once."""
     S4 = symmetric(4)
     built = []
-    make = context.from_elements
+    make = context.Group
 
-    def recording(degree, elements):
-        H = make(degree, elements)
+    # GroupContext._group is the only place a tree builds a Group
+    def recording(*args, **kwargs):
+        H = make(*args, **kwargs)
         built.append((H.degree, H.key))
         return H
 
-    monkeypatch.setattr(context, "from_elements", recording)
+    monkeypatch.setattr(context, "Group", recording)
     for tid in THEOREM_IDS:
         for params in params_for(S4, tid):
             assert verify_case(S4, tid, params).verdict != "fail", tid
@@ -85,3 +88,17 @@ def test_from_elements_closes_once_per_greedy_generator(monkeypatch, name):
     H = groups.from_elements(G.degree, elements)
     assert H.key == G.key
     assert len(calls) == len(H.generators)
+
+
+def test_clear_contexts_frees_a_root_without_the_cyclic_gc():
+    """A root that ran a correspondence encoder (which asks for G/1) holds no
+    reference to itself, so dropping it frees it at once."""
+    S4 = symmetric(4)
+    gc.disable()
+    try:
+        assert verify_case(S4, "L2.1b", {}).verdict != "fail"
+        root = weakref.ref(context_of(S4))
+        clear_contexts()
+        assert root() is None
+    finally:
+        gc.enable()
