@@ -1,8 +1,10 @@
 """The element index of a group: its elements numbered 0..n-1 in image-tuple
 order, so the identity is 0, and a subgroup held as an int mask over them.
 
-Right multiplication by element j is column j of the Cayley table, filled
-on first use, so an index holds at most n^2 <= 10^6 ints.  Closure is
+Right multiplication by element j is column j of the Cayley table and left
+multiplication by it is row j, each filled on first use, so an index holds
+at most 2 n^2 <= 2 * 10^6 ints.  Conjugation by element j is read off one
+row and one column.  Closure is
 Dimino's coset method: a subgroup grows by whole right cosets of a known
 subgroup, each the image of a listed coset under one generator column
 (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
@@ -18,16 +20,23 @@ from .perms import Permutation
 
 
 class ElementIndex:
-    """A group's elements by position, and its Cayley table by columns."""
+    """A group's elements by position, and its Cayley table by columns and
+    rows."""
 
-    __slots__ = ("elements", "_position", "_columns")
+    __slots__ = ("elements", "_position", "_columns", "_rows", "_inverses",
+                 "_conjugations")
 
     def __init__(self, elements: Sequence[Permutation]):
         self.elements = tuple(elements)
         self._position = {e.images: i for i, e in enumerate(self.elements)}
-        self._columns: list = [None] * len(self.elements)
+        n = len(self.elements)
+        self._columns: list = [None] * n
+        self._rows: list = [None] * n
+        self._inverses: list = [None] * n
+        self._conjugations: dict[int, list[int]] = {}
 
     def position(self, perm: Permutation) -> int:
+        """The position of perm; KeyError when it is not an element."""
         return self._position[perm.images]
 
     def column(self, j: int) -> list[int]:
@@ -39,6 +48,40 @@ class ElementIndex:
             col = self._columns[j] = [position[tuple(map(g, e.images))]
                                       for e in self.elements]
         return col
+
+    def row(self, j: int) -> list[int]:
+        """row[i] is the position of elements[j] * elements[i]."""
+        row = self._rows[j]
+        if row is None:
+            images = self.elements[j].images
+            position = self._position
+            row = self._rows[j] = [position[tuple(map(e.images.__getitem__,
+                                                      images))]
+                                   for e in self.elements]
+        return row
+
+    def inverse(self, j: int) -> int:
+        """The position of elements[j]^-1."""
+        inv = self._inverses[j]
+        if inv is None:
+            inv = self._inverses[j] = self.position(self.elements[j].inverse())
+        return inv
+
+    def conjugation(self, j: int) -> list[int]:
+        """c[i] is the position of g^-1 * elements[i] * g, g = elements[j]:
+        the column of g followed by the row of g^-1."""
+        conj = self._conjugations.get(j)
+        if conj is None:
+            left = self.row(self.inverse(j))
+            conj = self._conjugations[j] = [left[x] for x in self.column(j)]
+        return conj
+
+    def mask(self, positions: Iterable[int]) -> int:
+        """The int mask with exactly these bits set."""
+        bits = bytearray((len(self.elements) + 8) // 8)
+        for i in positions:
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
 
     def extend(self, elems: list[int], mask: int,
                gens: Sequence[int]) -> tuple[list[int], int]:
@@ -60,13 +103,17 @@ class ElementIndex:
             start += size
         return elems, mask
 
-    def close(self, positions: Iterable[int]) -> tuple[list[int], list[int], int]:
+    def close(self, positions: Iterable[int], gens: Sequence[int] = (),
+              elems: Sequence[int] = (0,),
+              mask: int = 1) -> tuple[list[int], list[int], int]:
         """(generators, elements, mask) of the subgroup generated by the
-        elements at `positions`.  Each position not yet generated when it is
-        reached becomes a generator; with a subgroup's positions in
+        elements at `positions` and a known subgroup, by default the trivial
+        one, given by its generators, elements (identity first) and mask.
+        Each position not yet generated when it is reached becomes a
+        generator; from the trivial subgroup, with a subgroup's positions in
         increasing order, this is ``from_elements``' greedy pick."""
-        gens: list[int] = []
-        elems, mask = [0], 1
+        gens = list(gens)
+        elems = list(elems)
         for i in positions:
             if not mask >> i & 1:
                 gens.append(i)

@@ -19,16 +19,21 @@ built outside any registry, so each quotient context is a root of its own.
 Each root also owns the element index of its group
 (:class:`~grouplab.cayley.ElementIndex`): every context in the tree closes
 subgroups on that index, as int masks, and the registry is keyed by mask.
+The root also keeps each registry subgroup's mask and sorted positions, so
+the section kernels (quotient images and preimages, conjugation of elements
+and subgroups, centralizers of chief factors, joins, intersections and
+HK = KH) read them off the index; permutations are only built where a
+subgroup enters or leaves it.
 """
 
 from __future__ import annotations
 
 from functools import wraps
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .cayley import ElementIndex
-from .groups import (Group, Homomorphism, is_normal_in, quotient,
-                     require_subgroup)
+from .errors import NotASubgroupError, NotNormalError
+from .groups import Group, Homomorphism, quotient, require_subgroup
 from .perms import Permutation
 from .primes import p_part, prime_divisors, require_prime
 
@@ -88,10 +93,18 @@ class GroupContext:
         self._root = root
         if root is None:
             self._index = ElementIndex(G.elements())
-            self._registry: dict[int, Group] = {(1 << G.order) - 1: G}
+            whole = (1 << G.order) - 1
+            self._registry: dict[int, Group] = {whole: G}
+            # element key -> (mask, sorted positions) of each registry subgroup
+            self._located: dict[frozenset, tuple[int, list[int]]] = {
+                G.key: (whole, list(range(G.order)))}
         else:
             self._index = root._index
             self._registry = root._registry
+            self._located = root._located
+        # the bits outside this context's group, which no subgroup it is
+        # asked about may have; none in a root, whose index is its group
+        self._outside = 0 if root is None else ~self._located[G.key][0]
         # table name -> key -> value; tables are created on first use
         self._memo: dict[str, dict] = {}
 
@@ -106,55 +119,147 @@ class GroupContext:
         return value
 
     # ------------------------------------------------------------------
-    # subgroup registry
+    # element positions and the subgroup registry
+
+    def _at(self, elements) -> list[int]:
+        """The positions of these elements of the ambient."""
+        position = self._index.position
+        try:
+            return [position(e) for e in elements]
+        except KeyError:
+            raise NotASubgroupError(
+                "an element lies outside the ambient group") from None
+
+    def _inside(self, mask: int) -> int:
+        if mask & self._outside:
+            raise NotASubgroupError("a subgroup lies outside the ambient group")
+        return mask
+
+    def _where(self, H: Group) -> tuple[int, list[int]]:
+        """(mask, sorted positions) of H, a subgroup of the ambient: a dict
+        read for a registry subgroup."""
+        found = self._located.get(H.key)
+        if found is None:
+            # elements in image-tuple order have increasing positions
+            positions = self._at(H.elements())
+            found = self._index.mask(positions), positions
+        self._inside(found[0])
+        return found
+
+    def mask(self, H: Group) -> int:
+        return self._where(H)[0]
+
+    def positions(self, H: Group) -> list[int]:
+        """H's element positions in increasing order; do not modify."""
+        return self._where(H)[1]
 
     def generated(self, elements) -> Group:
         """The tree's one Group object for the subgroup generated by these
         elements of the ambient."""
-        _, elems, mask = self._index.close(map(self._index.position, elements))
-        return self._group(mask, elems)
+        _, elems, mask = self._index.close(self._at(elements))
+        return self._group(self._inside(mask), elems)
 
-    # a closed element set generates itself
-    subgroup = generated
+    def subgroup(self, elements) -> Group:
+        """The subgroup generated by these elements: for the element set of a
+        registry subgroup, that subgroup, found by its mask."""
+        return self._subgroup_at(self._at(elements))
+
+    def _subgroup_at(self, positions: Iterable[int]) -> Group:
+        mask = self._index.mask(positions)
+        H = self._registry.get(mask)
+        if H is None:
+            _, elems, mask = self._index.close(positions)
+            H = self._group(mask, elems)
+        self._inside(mask)
+        return H
 
     def _group(self, mask: int, elems: list[int]) -> Group:
         """The tree's Group for the subgroup with this mask and element
         positions, built on first use with its greedy generators."""
         H = self._registry.get(mask)
         if H is None:
+            elems = sorted(elems)
             at = self._index.elements
             H = self._registry[mask] = Group(
                 self.group.degree,
-                [at[i] for i in self._index.close(sorted(elems))[0]],
+                [at[i] for i in self._index.close(elems)[0]],
                 _skip_degree_check=True, _closure=[at[i] for i in elems])
+            self._located[H.key] = mask, elems
             _ROOTS.setdefault((H.degree, H.key), self._root or self)
         return H
 
     def trivial_subgroup(self) -> Group:
         return self._group(1, [0])
 
+    def join(self, A: Group, B: Group) -> Group:
+        """<A, B>, closed once per pair: B's cosets extended by A's
+        generators."""
+        def compute() -> Group:
+            bmask, bpos = self._where(B)
+            _, elems, mask = self._index.close(
+                self._at(A.generators), self._at(B.generators), bpos, bmask)
+            return self._group(self._inside(mask), elems)
+
+        return self.memo("join", (A.key, B.key), compute)
+
+    def _cut(self, mask: int, within: list[int]) -> Group:
+        """The subgroup with this mask, whose elements lie at `within`."""
+        H = self._registry.get(mask)
+        if H is None:
+            H = self._group(mask, [i for i in within if mask >> i & 1])
+        return H
+
+    def intersection(self, A: Group, B: Group) -> Group:
+        amask, apos = self._where(A)
+        return self._cut(amask & self.mask(B), apos)
+
+    def product_size(self, A: Group, B: Group) -> int:
+        """|AB| = |A| |B| / |A n B|, by popcount."""
+        return A.order * B.order // (self.mask(A) & self.mask(B)).bit_count()
+
+    def permutes(self, H: Group, K: Group) -> bool:
+        """HK = KH.  HK is a union of right cosets Hk; it is a subgroup, which
+        is HK = KH, exactly when k h lies in it for every k in K and every
+        generator h of H."""
+        column = self._index.column
+        hpos = self.positions(H)
+        kpos = self.positions(K)
+        hk = set()
+        for k in kpos:
+            col = column(k)
+            hk.update([col[h] for h in hpos])
+        return all(col[k] in hk
+                   for col in map(column, self._at(H.generators))
+                   for k in kpos)
+
     # ------------------------------------------------------------------
-    # conjugacy classes of elements
+    # conjugation
+
+    def _conjugations(self) -> list[list[int]]:
+        """The conjugation map of each generator of the group, on positions."""
+        return self.memo("named", "conjugations", lambda: [
+            self._index.conjugation(g) for g in self._at(self.group.generators)])
 
     @_memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
-        gens = self.group.generators
-        seen: set[Permutation] = set()
+        """The classes of elements, each the orbit of its first element under
+        the generators' conjugation maps, in order of that element."""
+        conj = self._conjugations()
+        at = self._index.elements
+        seen = set()
         classes = []
-        for e in self.group.elements():
+        for e in self.positions(self.group):
             if e in seen:
                 continue
-            orbit = {e}
-            queue = [e]
-            while queue:
-                x = queue.pop()
-                for g in gens:
-                    y = g.inverse() * x * g
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
-            seen |= orbit
-            classes.append(frozenset(orbit))
+            orbit = [e]
+            seen.add(e)
+            for x in orbit:
+                for c in conj:
+                    y = c[x]
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            classes.append(frozenset(at[i] for i in orbit))
         return tuple(classes)
 
     # ------------------------------------------------------------------
@@ -162,54 +267,66 @@ class GroupContext:
 
     def normal_closure_in(self, K: Group, H: Group) -> Group:
         """Normal closure of H inside the subgroup K (both within the ambient)."""
-        position = self._index.position
-        gens, elems, mask = self._index.close(map(position, H.generators))
-        at = self._index.elements
+        index = self._index
+        gens, elems, mask = index.close(self._at(H.generators))
+        conj = [index.conjugation(k) for k in self._at(K.generators)]
         changed = True
         while changed:
             changed = False
-            for s in [at[i] for i in gens]:
-                for k in K.generators:
-                    c = position(k.inverse() * s * k)
-                    if not mask >> c & 1:
-                        gens.append(c)
-                        elems, mask = self._index.extend(elems, mask, gens)
+            for s in list(gens):
+                for c in conj:
+                    if not mask >> c[s] & 1:
+                        gens.append(c[s])
+                        elems, mask = index.extend(elems, mask, gens)
                         changed = True
         return self._group(mask, elems)
 
     @_memoized
     def normal_subgroups(self) -> tuple[Group, ...]:
         """All normal subgroups, sorted by (order, element key)."""
-        gens = self.group.generators
-        if all(a * b == b * a for a in gens for b in gens):
+        index = self._index
+        gens = self._at(self.group.generators)
+        if all(index.column(a)[b] == index.column(b)[a]
+               for a in gens for b in gens):
             # abelian: every subgroup is normal
             return self.all_subgroups()
-        classes = sorted(self.conjugacy_classes(),
-                         key=lambda c: (len(c), min(p.images for p in c)))
+        classes = sorted((sorted(self._at(c)) for c in self.conjugacy_classes()),
+                         key=lambda c: (len(c), c[0]))
+        classes = [(index.mask(c), c) for c in classes]
         triv = self.trivial_subgroup()
-        found: dict[frozenset, Group] = {triv.key: triv}
+        found: dict[int, Group] = {1: triv}
         worklist = [triv]
         while worklist:
             N = worklist.pop()
-            nset = N.element_set()
-            for cls in classes:
-                if cls <= nset:
+            nmask, npos = self._where(N)
+            ngens = self._at(N.generators)
+            for cmask, cls in classes:
+                if not cmask & ~nmask:
                     continue
-                # <N u cls> = <N.generators u cls>; keep the generating
-                # set small, as each coset of the closure tries every one
-                M = self.generated(tuple(N.generators) + tuple(sorted(cls)))
-                if M.key not in found:
-                    found[M.key] = M
+                # <N u cls>: N's cosets extended by the class elements that
+                # are not generated yet
+                _, elems, mask = index.close(cls, ngens, npos, nmask)
+                if mask not in found:
+                    found[mask] = M = self._group(mask, elems)
                     worklist.append(M)
         return tuple(sorted(found.values(), key=subgroup_sort_key))
 
     def minimal_normal_subgroups(self) -> tuple[Group, ...]:
         normals = [N for N in self.normal_subgroups() if N.order > 1]
-        return tuple(N for N in normals
-                     if not any(M.key < N.key for M in normals))
+        masks = [self.mask(N) for N in normals]
+        return tuple(N for N, n in zip(normals, masks)
+                     if not any(m != n and not m & ~n for m in masks))
 
     def is_normal(self, H: Group) -> bool:
-        return is_normal_in(H, self.group)
+        """Whether H is a normal subgroup: every generator's conjugation map
+        keeps H's generators inside H."""
+        try:
+            hmask = self.mask(H)
+        except NotASubgroupError:
+            return False
+        hgens = self._at(H.generators)
+        return all(hmask >> c[x] & 1 for c in self._conjugations()
+                   for x in hgens)
 
     # ------------------------------------------------------------------
     # the full subgroup lattice
@@ -234,46 +351,49 @@ class GroupContext:
 
     @_memoized
     def subgroup_classes(self) -> tuple[tuple[Group, ...], ...]:
-        """Conjugacy classes of subgroups, deterministically ordered."""
-        all_subs = {H.key: H for H in self.all_subgroups()}
-        seen: set[frozenset] = set()
+        """Conjugacy classes of subgroups, each in lattice order, ordered by
+        their first members.  A class is the orbit of its first member's mask
+        under the generators' conjugation maps."""
+        subs = self.all_subgroups()
+        rank = {m: r for r, (_, m) in enumerate(self._masked_lattice())}
+        conj = self._conjugations()
+        to_mask = self._index.mask
+        seen: set[int] = set()
         classes = []
-        for H in self.all_subgroups():
-            if H.key in seen:
+        for H in subs:
+            hmask, hpos = self._where(H)
+            if hmask in seen:
                 continue
-            orbit = {H.key}
-            queue = [H]
+            orbit = {hmask}
+            queue = [hpos]
             while queue:
-                X = queue.pop()
-                for g in self.group.generators:
-                    Y = frozenset((g.inverse() * x * g).images
-                                  for x in X.elements())
-                    if Y not in orbit:
-                        orbit.add(Y)
-                        queue.append(all_subs[Y])
+                pos = queue.pop()
+                for c in conj:
+                    image = [c[x] for x in pos]
+                    mask = to_mask(image)
+                    if mask not in orbit:
+                        orbit.add(mask)
+                        queue.append(image)
             seen |= orbit
-            members = tuple(sorted((all_subs[k] for k in orbit),
-                                   key=subgroup_sort_key))
-            classes.append(members)
-        classes.sort(key=lambda ms: subgroup_sort_key(ms[0]))
+            # H comes first: a member before it would have been seen
+            classes.append(tuple(subs[r] for r in sorted(map(rank.get, orbit))))
         return tuple(classes)
 
+    def _masked_lattice(self) -> list[tuple[Group, int]]:
+        return self.memo("named", "masked_lattice", lambda: [
+            (H, self.mask(H)) for H in self.all_subgroups()])
+
     def subgroups_of(self, K: Group) -> tuple[Group, ...]:
-        kset = K.element_set()
-        return tuple(H for H in self.all_subgroups()
-                     if H.element_set() <= kset)
+        kmask = self.mask(K)
+        return tuple(H for H, m in self._masked_lattice() if not m & ~kmask)
 
     @_memoized
     def maximal_subgroups_of(self, K: Group) -> tuple[Group, ...]:
         """Maximal proper subgroups of K, read off the ambient lattice."""
-        subs = [H for H in self.subgroups_of(K) if H.order < K.order]
-        maximals = []
-        for H in subs:
-            hset = H.element_set()
-            if not any(M.order > H.order and hset < M.element_set()
-                       for M in subs):
-                maximals.append(H)
-        return tuple(maximals)
+        subs = [(H, self.mask(H)) for H in self.subgroups_of(K)
+                if H.order < K.order]
+        return tuple(H for H, h in subs
+                     if not any(m != h and not h & ~m for _, m in subs))
 
     def n_maximal_subgroups_of(self, K: Group, n: int) -> tuple[Group, ...]:
         if n < 1:
@@ -334,10 +454,10 @@ class GroupContext:
         maxima = self.maximal_subgroups_of(self.group)
         if not maxima:
             return self.group
-        inter = frozenset(self.group.elements())
+        mask = self.mask(self.group)
         for M in maxima:
-            inter &= M.element_set()
-        return self.subgroup(inter)
+            mask &= self.mask(M)
+        return self._cut(mask, self.positions(self.group))
 
     def O_p(self, p: int) -> Group:
         # a normal subgroup of order 1 counts as a p-group here
@@ -391,10 +511,10 @@ class GroupContext:
     def core(self, H: Group) -> Group:
         """Largest subgroup of H normal in the ambient group."""
         require_subgroup(H, self.group)
-        hset = H.element_set()
+        hmask = self.mask(H)
         best = self.trivial_subgroup()
         for N in self.normal_subgroups():
-            if N.order > best.order and N.element_set() <= hset:
+            if N.order > best.order and not self.mask(N) & ~hmask:
                 best = N
         return best
 
@@ -428,11 +548,45 @@ class GroupContext:
         res = quotient(self.group, N)
         return context_of(res.group), res.epimorphism
 
+    def _quotient_positions(self, N: Group) -> list[int]:
+        """q[i] is the position in G/N's index of the image of the element
+        at position i of G's (-1 off G): a walk of G's Cayley graph along
+        the generator columns of both indexes."""
+        def compute() -> list[int]:
+            qctx, hom = self.quotient_ctx(N)
+            index, qindex = self._index, qctx._index
+            steps = [(index.column(g), qindex.column(x))
+                     for g, x in zip(self._at(self.group.generators),
+                                     qctx._at(hom.images))]
+            q = [-1] * len(index.elements)
+            q[0] = 0
+            walk = [0]
+            for x in walk:
+                qx = q[x]
+                for col, qcol in steps:
+                    y = col[x]
+                    if q[y] < 0:
+                        q[y] = qcol[qx]
+                        walk.append(y)
+            return q
+
+        return self.memo("quotient_positions", N.key, compute)
+
     def quotient_image(self, N: Group, K: Group) -> Group:
-        """KN/N as the quotient context's own subgroup object, so an image
-        already in its registry costs no closure."""
-        qctx, hom = self.quotient_ctx(N)
-        return qctx.subgroup({hom(k) for k in K.elements()})
+        """KN/N as the quotient context's own subgroup object: K's positions
+        mapped through the quotient position map, found in the quotient's
+        registry by mask."""
+        qctx, _ = self.quotient_ctx(N)
+        q = self._quotient_positions(N)
+        return qctx._subgroup_at({q[i] for i in self.positions(K)})
+
+    def preimage(self, N: Group, S: Group) -> Group:
+        """The subgroup of G mapping into S, a subgroup of G/N."""
+        qctx, _ = self.quotient_ctx(N)
+        q = self._quotient_positions(N)
+        image = set(qctx.positions(S))
+        return self._subgroup_at([i for i in self.positions(self.group)
+                                  if q[i] in image])
 
     # ------------------------------------------------------------------
     # chief factors
@@ -441,28 +595,50 @@ class GroupContext:
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""
-        normals = self.normal_subgroups()
-        sets = {N.key: N.element_set() for N in normals}
+        normals = [(N, self.mask(N)) for N in self.normal_subgroups()]
         pairs = []
-        for K in normals:
-            for H in normals:
-                if H.order <= K.order or not sets[K.key] < sets[H.key]:
+        for K, k in normals:
+            for H, h in normals:
+                if H.order <= K.order or k & ~h:
                     continue
-                if any(L.key != K.key and L.key != H.key
-                       and sets[K.key] < sets[L.key] < sets[H.key]
-                       for L in normals):
+                if any(m != k and m != h and not k & ~m and not m & ~h
+                       for _, m in normals):
                     continue
                 pairs.append((K, H))
         return tuple(pairs)
 
+    def _coset_labels(self, L: Group) -> list[int]:
+        """label[i] names the right coset L x of the element x at position i:
+        the orbits of left multiplication by L's generators."""
+        rows = [self._index.row(l) for l in self._at(L.generators)]
+        label = [-1] * len(self._index.elements)
+        for x in self.positions(self.group):
+            if label[x] < 0:
+                label[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for row in rows:
+                        z = row[y]
+                        if label[z] < 0:
+                            label[z] = x
+                            orbit.append(z)
+        return label
+
     def chief_centralizer(self, lower: Group, upper: Group) -> Group:
-        """C_G(upper/lower): the elements of G whose commutator with every
+        """C_G(upper/lower): the elements g of G whose commutator with every
         element of upper lies in lower.  For lower = 1 this is C_G(upper);
-        for upper = G and lower normal, the preimage of Z(G/lower)."""
-        lset = lower.element_set()
-        out = []
-        for g in self.group.elements():
-            ginv = g.inverse()
-            if all((ginv * h * g) * h.inverse() in lset for h in upper.generators):
-                out.append(g)
-        return self.subgroup(out)
+        for upper = G, the preimage of Z(G/lower).  Lower must be normal in G:
+        then [g, h] lies in lower exactly when lower h g = lower g h, and the
+        generators h of upper suffice."""
+        def compute() -> Group:
+            if not self.is_normal(lower):
+                raise NotNormalError("lower is not a normal subgroup of G")
+            label = self._coset_labels(lower)
+            index = self._index
+            out = self.positions(self.group)
+            for h in self._at(upper.generators):
+                row, col = index.row(h), index.column(h)
+                out = [g for g in out if label[row[g]] == label[col[g]]]
+            return self._subgroup_at(out)
+
+        return self.memo("chief_centralizer", (lower.key, upper.key), compute)

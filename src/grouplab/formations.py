@@ -181,12 +181,11 @@ def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
 
 def hypercenter_preimage(G: Group, N: Group, formation: str) -> frozenset:
     """Elements of G mapping into Z_inf^F(G/N), for normal N."""
-    ctx = context_of(G)
+    return hypercenter_cover(context_of(G), N, formation).element_set()
 
-    def compute() -> frozenset:
-        if N.order == 1:
-            return f_hypercenter(G, formation).element_set()
-        qctx, hom = ctx.quotient_ctx(N)
-        return hom.preimage_elements(f_hypercenter(qctx.group, formation))
 
-    return ctx.memo("hyper_preimage", (N.key, formation), compute)
+def hypercenter_cover(ctx: GroupContext, N: Group, formation: str) -> Group:
+    """The subgroup of the elements of ctx.group mapping into
+    Z_inf^F(G/N), for normal N."""
+    return ctx.memo("hyper_preimage", (N.key, formation), lambda: ctx.preimage(
+        N, f_hypercenter(ctx.quotient_ctx(N)[0].group, formation)))

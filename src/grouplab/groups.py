@@ -123,20 +123,18 @@ def trivial_group(degree: int = 1) -> Group:
 
 
 def from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
-    """Subgroup object from a known-closed element set, with greedy generators.
+    """The subgroup generated by the elements, with greedy generators: each
+    element, in image-tuple order, that the earlier ones do not generate.
 
-    Its element set is the closure the greedy loop computed last, so an
-    element list that is not closed gives a larger group, never itself.
+    For a closed element set this is the subgroup with exactly that set; a
+    list that is not closed gives the larger group it generates.
     """
-    elems = sorted(e for e in elements if not e.is_identity())
     gens: list[Permutation] = []
     have = {identity(degree)}
-    for e in elems:
+    for e in sorted(elements):
         if e not in have:
             gens.append(e)
             have = closure(degree, gens, limit=MAX_ORDER)
-            if len(have) == len(elems) + 1:
-                break
     return Group(degree, gens, _skip_degree_check=True, _closure=have)
 
 
@@ -191,12 +189,6 @@ def set_product(H: Group, K: Group, ambient: Group) -> SetProductResult:
     join_order = len(closure(ambient.degree, list(H.generators) + list(K.generators)))
     return SetProductResult(size=len(hk), is_subgroup=join_order == len(hk),
                             commutes=hk == kh)
-
-
-def product_size(H: Group, K: Group) -> int:
-    """|HK| = |H| |K| / |H n K| without materializing the product set."""
-    inter = H.element_set() & K.element_set()
-    return H.order * K.order // len(inter)
 
 
 class Homomorphism:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import context_of
-from .formations import hypercenter_preimage, in_formation
-from .groups import Group, product_size, require_subgroup
+from .formations import hypercenter_cover, in_formation
+from .groups import Group, require_subgroup
 from .structure import is_p_nilpotent
 
 __all__ = [
@@ -47,24 +47,24 @@ def is_s_permutable(G: Group, H: Group) -> Verdict:
     is all Sylow p-subgroups.  The failure witness is the first non-permuting
     Sylow subgroup in deterministic order.
     """
-    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("sperm", H.key, lambda: _s_permutable_uncached(ctx, H))
 
 
+# Each predicate validates H on a memo miss only: a hit under H.key is the
+# very element set that was validated against this ambient before.
+
+
 def _s_permutable_uncached(ctx, H: Group) -> Verdict:
+    require_subgroup(H, ctx.group)
     if ctx.is_normal(H):
         return Verdict(True, detail="normal subgroup")
-    helems = H.elements()
     for p in ctx.primes():
         sylows = ctx.sylow_all(p)
         if len(sylows) == 1:
             continue  # the unique Sylow subgroup is normal: HP = PH as sets
         for P in sylows:
-            pelems = P.elements()
-            hp = {h * q for h in helems for q in pelems}
-            ph = {q * h for h in helems for q in pelems}
-            if hp != ph:
+            if not ctx.permutes(H, P):
                 return Verdict(False, witness=P, witness_kind="failing_sylow",
                                detail=f"does not permute with a Sylow {p}-subgroup")
     return Verdict(True)
@@ -74,7 +74,6 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
     """Some normal T has H*T s-permutable and (H n T)H_G/H_G inside
     Z_inf^F(G/H_G).  Exhaustive scan over normal subgroups in deterministic
     (ascending) order; the witness is the smallest qualifying T."""
-    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("fsq", (H.key, formation), lambda: _fsq_scan(
         ctx, H, formation, require_core_in_t=False))
@@ -83,30 +82,29 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
 def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
     """Equivalent phrasing: T restricted to normal subgroups containing H_G,
     containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
-    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("fsq_variant", (H.key, formation), lambda: _fsq_scan(
         ctx, H, formation, require_core_in_t=True))
 
 
 def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict:
-    G = ctx.group
+    require_subgroup(H, ctx.group)
     core = ctx.core(H)
-    hset = H.element_set()
-    cset = core.element_set()
-    # elements of G whose image lies in Z_inf^F(G/H_G); computed on demand
-    W: Optional[frozenset] = None
+    hmask = ctx.mask(H)
+    cmask = ctx.mask(core)
+    # the elements of G whose image lies in Z_inf^F(G/H_G); read on demand
+    wmask = None
     for T in ctx.normal_subgroups():
-        if require_core_in_t and not cset <= T.element_set():
+        tmask = ctx.mask(T)
+        if require_core_in_t and cmask & ~tmask:
             continue
-        inter = hset & T.element_set()
-        if len(inter) > 1:  # the identity always maps into the hypercenter
-            if W is None:
-                W = hypercenter_preimage(G, core, formation)
-            if not inter <= W:
+        inter = hmask & tmask
+        if inter & (inter - 1):  # the identity always maps into the hypercenter
+            if wmask is None:
+                wmask = ctx.mask(hypercenter_cover(ctx, core, formation))
+            if inter & ~wmask:
                 continue
-        HT = ctx.generated(tuple(H.generators) + tuple(T.generators))
-        if is_s_permutable(G, HT).holds:
+        if is_s_permutable(ctx.group, ctx.join(H, T)).holds:
             return Verdict(True, witness=T, witness_kind="normal_T",
                            detail=_HT_NOTE)
     return Verdict(False, detail=_HT_NOTE)
@@ -129,7 +127,6 @@ def has_f_supplement(G: Group, H: Group, kind: str,
     Every conjugate of every subgroup class is scanned (G = HT is not
     conjugation-invariant in T for fixed H), pruned by |H|*|T| >= |G|.
     """
-    require_subgroup(H, G)
     ctx = context_of(G)
     return ctx.memo("supplement", (H.key, kind, p),
                     lambda: _supplement_scan(ctx, H, kind, p))
@@ -137,6 +134,7 @@ def has_f_supplement(G: Group, H: Group, kind: str,
 
 def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:
     G = ctx.group
+    require_subgroup(H, G)
     pred = _class_predicate(kind, p)
     for cls in ctx.subgroup_classes():
         rep = cls[0]
@@ -146,6 +144,6 @@ def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:
         if not pred(rep):
             continue
         for T in cls:
-            if product_size(H, T) == G.order:
+            if ctx.product_size(H, T) == G.order:
                 return Verdict(True, witness=T, witness_kind="supplement")
     return Verdict(False)

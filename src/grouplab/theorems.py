@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .context import GroupContext, context_of
 from .formations import FORMATIONS, in_formation, quotient_in_formation
-from .groups import Group, product_size, quotient, set_product
+from .groups import Group, quotient, set_product
 from .perms import to_cycles
 from .primes import is_prime, p_part, prime_divisors
 from .quasinormal import (
@@ -265,16 +265,15 @@ def _enc_l21c(ctx, params, wit):
 
 def _enc_l21d(ctx, params, wit):
     for H, F in combinations_with_replacement(_sperm_subgroups(ctx), 2):
-        yield _sperm(ctx, ctx.subgroup(sorted(H.element_set() & F.element_set())))
+        yield _sperm(ctx, ctx.intersection(H, F))
 
 
 def _enc_l21e(ctx, params, wit):
     sperm = _sperm_subgroups(ctx)
     for M in _class_reps(ctx):
         mctx = context_of(M)
-        mset = M.element_set()
         for H in sperm:
-            yield _sperm(mctx, ctx.subgroup(sorted(H.element_set() & mset)))
+            yield _sperm(mctx, ctx.intersection(H, M))
 
 
 def _enc_l221(ctx, params, wit):
@@ -490,7 +489,7 @@ def _enc_t32(ctx, params, wit):
                     continue
                 for A in ac:
                     for B in bc:
-                        if product_size(A, B) == G.order and \
+                        if ctx.product_size(A, B) == G.order and \
                                 (A.key, B.key) != (G.key, triv.key):
                             pairs.append((A, B))
     concl = is_supersoluble(G)
