@@ -9,6 +9,14 @@ Dimino's coset method: a subgroup grows by whole right cosets of a known
 subgroup, each the image of a listed coset under one generator column
 (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
 ch. 3-4).
+
+The subgroup lattice is the closure of the cyclic subgroups under joins
+<H, C> with a cyclic C, reduced by conjugacy classes (Neubüser, *Numer.
+Math.* 2, 1960): only the first-found member H0 of each class of subgroups
+is extended, and the rest of its class, the orbit of its elements under the
+generators' conjugation maps, is added when H0 is found.  This loses no
+subgroup: if H = H0^g, then <H, C> = <H0, C^(g^-1)>^g, and C^(g^-1) is
+cyclic too.
 """
 
 from __future__ import annotations
@@ -120,9 +128,12 @@ class ElementIndex:
                 elems, mask = self.extend(elems, mask, gens)
         return gens, elems, mask
 
-    def subgroups(self) -> dict[int, list[int]]:
-        """Every subgroup, mask -> elements: the cyclic subgroups, closed
-        under joins <H, C> with a cyclic C."""
+    def subgroups(self, generators: Sequence[int]) -> dict[int, list[int]]:
+        """Every subgroup, mask -> elements, of the group that the elements at
+        `generators` generate, which must be the whole indexed group: the cyclic
+        subgroups closed under joins <H, C> with a cyclic C, one H per
+        conjugacy class."""
+        conj = [self.conjugation(g) for g in generators]
         # each cyclic subgroup is walked from its first generator, and its
         # other generators are marked so that none is walked again
         walked = bytearray(len(self.elements))
@@ -138,8 +149,24 @@ class ElementIndex:
                         walked[powers[k]] = 1
                 seeds.append((sum(1 << x for x in powers), powers, [e]))
         found = {1: [0]}
-        found.update((mask, elems) for mask, elems, _ in seeds)
-        worklist = list(seeds)
+        worklist = []
+
+        def add_class(mask: int, elems: list[int], hgens: list[int]) -> None:
+            # found is a union of whole classes; only H goes on the worklist
+            found[mask] = elems
+            worklist.append((mask, elems, hgens))
+            orbit = [elems]
+            for pos in orbit:
+                for c in conj:
+                    image = [c[x] for x in pos]
+                    image_mask = self.mask(image)
+                    if image_mask not in found:
+                        found[image_mask] = image
+                        orbit.append(image)
+
+        for seed in seeds:
+            if seed[0] not in found:
+                add_class(*seed)
         while worklist:
             hmask, helems, hgens = worklist.pop()
             for cmask, _, cgens in seeds:
@@ -148,6 +175,5 @@ class ElementIndex:
                 gens = hgens + cgens
                 elems, mask = self.extend(helems, hmask, gens)
                 if mask not in found:
-                    found[mask] = elems
-                    worklist.append((mask, elems, gens))
+                    add_class(mask, elems, gens)
         return found

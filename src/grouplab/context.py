@@ -28,6 +28,7 @@ subgroup enters or leaves it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import wraps
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -61,6 +62,18 @@ def clear_contexts() -> None:
     _ROOTS.clear()
 
 
+def _is_power_of(n: int, p: int) -> bool:
+    return p_part(n, p) == n
+
+
+def _is_pi_number(n: int, pi: frozenset) -> bool:
+    return all(q in pi for q in prime_divisors(n))
+
+
+def _is_pi_prime_number(n: int, pi: frozenset) -> bool:
+    return all(q not in pi for q in prime_divisors(n))
+
+
 def subgroup_sort_key(H: Group) -> tuple:
     return (H.order, tuple(p.images for p in H.elements()))
 
@@ -74,9 +87,9 @@ def _memoized(method):
     @wraps(method)
     def wrapper(self, *args):
         if not args:
-            return self.memo("named", name, lambda: method(self))
+            return self.memo("named", name, method, self)
         H, = args
-        return self.memo(name, H.key, lambda: method(self, H))
+        return self.memo(name, H.key, method, self, H)
 
     return wrapper
 
@@ -106,16 +119,15 @@ class GroupContext:
         # asked about may have; none in a root, whose index is its group
         self._outside = 0 if root is None else ~self._located[G.key][0]
         # table name -> key -> value; tables are created on first use
-        self._memo: dict[str, dict] = {}
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
 
-    def memo(self, table: str, key, compute: Callable[[], T]) -> T:
-        """The value under `key` in `table`, from `compute()` on first use."""
-        entries = self._memo.get(table)
-        if entries is None:
-            entries = self._memo[table] = {}
+    def memo(self, table: str, key, compute: Callable[..., T], *args) -> T:
+        """The value under `key` in `table`, from `compute(*args)` on first
+        use.  A hit reads one table; compute is only called on a miss."""
+        entries = self._memo[table]
         value = entries.get(key, _MISSING)
         if value is _MISSING:
-            value = entries[key] = compute()
+            value = entries[key] = compute(*args)
         return value
 
     # ------------------------------------------------------------------
@@ -192,15 +204,15 @@ class GroupContext:
         return self._group(1, [0])
 
     def join(self, A: Group, B: Group) -> Group:
-        """<A, B>, closed once per pair: B's cosets extended by A's
-        generators."""
-        def compute() -> Group:
-            bmask, bpos = self._where(B)
-            _, elems, mask = self._index.close(
-                self._at(A.generators), self._at(B.generators), bpos, bmask)
-            return self._group(self._inside(mask), elems)
+        """<A, B>, closed once per pair."""
+        return self.memo("join", (A.key, B.key), self._close_join, A, B)
 
-        return self.memo("join", (A.key, B.key), compute)
+    def _close_join(self, A: Group, B: Group) -> Group:
+        """<A, B>: B's cosets extended by A's generators."""
+        bmask, bpos = self._where(B)
+        _, elems, mask = self._index.close(
+            self._at(A.generators), self._at(B.generators), bpos, bmask)
+        return self._group(self._inside(mask), elems)
 
     def _cut(self, mask: int, within: list[int]) -> Group:
         """The subgroup with this mask, whose elements lie at `within`."""
@@ -237,8 +249,11 @@ class GroupContext:
 
     def _conjugations(self) -> list[list[int]]:
         """The conjugation map of each generator of the group, on positions."""
-        return self.memo("named", "conjugations", lambda: [
-            self._index.conjugation(g) for g in self._at(self.group.generators)])
+        return self.memo("named", "conjugations", self._conjugation_maps)
+
+    def _conjugation_maps(self) -> list[list[int]]:
+        return [self._index.conjugation(g)
+                for g in self._at(self.group.generators)]
 
     @_memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
@@ -343,7 +358,8 @@ class GroupContext:
             if cached is not None:
                 return cached
         found = sorted((len(elems), sorted(elems), mask)
-                       for mask, elems in self._index.subgroups().items())
+                       for mask, elems in self._index.subgroups(
+                           self._at(self.group.generators)).items())
         subgroups = tuple(self._group(mask, elems) for _, elems, mask in found)
         if _cache.enabled():
             _cache.store_lattice(self.group, subgroups)
@@ -380,8 +396,10 @@ class GroupContext:
         return tuple(classes)
 
     def _masked_lattice(self) -> list[tuple[Group, int]]:
-        return self.memo("named", "masked_lattice", lambda: [
-            (H, self.mask(H)) for H in self.all_subgroups()])
+        return self.memo("named", "masked_lattice", self._mask_lattice)
+
+    def _mask_lattice(self) -> list[tuple[Group, int]]:
+        return [(H, self.mask(H)) for H in self.all_subgroups()]
 
     def subgroups_of(self, K: Group) -> tuple[Group, ...]:
         kmask = self.mask(K)
@@ -461,34 +479,36 @@ class GroupContext:
 
     def O_p(self, p: int) -> Group:
         # a normal subgroup of order 1 counts as a p-group here
-        return self.memo("named", ("O_p", p), lambda: self._largest_normal(
-            lambda n: p_part(n, p) == n))
+        return self.memo("named", ("O_p", p), self._largest_normal,
+                         _is_power_of, p)
 
     def O_pi_prime(self, pi) -> Group:
         pi = frozenset(pi)
         return self.memo("named", ("O_pi_prime", tuple(sorted(pi))),
-                         lambda: self._largest_normal(lambda n: all(
-                             q not in pi for q in prime_divisors(n))))
+                         self._largest_normal, _is_pi_prime_number, pi)
 
     def O_pi(self, pi) -> Group:
         """Largest normal pi-subgroup."""
         pi = frozenset(pi)
         return self.memo("named", ("O_pi", tuple(sorted(pi))),
-                         lambda: self._largest_normal(lambda n: all(
-                             q in pi for q in prime_divisors(n))))
+                         self._largest_normal, _is_pi_number, pi)
 
-    def _largest_normal(self, order_ok: Callable[[int], bool]) -> Group:
-        """The first largest normal subgroup whose order passes order_ok."""
+    def _largest_normal(self, order_ok: Callable[[int, object], bool],
+                        arg) -> Group:
+        """The first largest normal subgroup N with order_ok(|N|, arg)."""
         best = self.trivial_subgroup()
         for N in self.normal_subgroups():
-            if order_ok(N.order) and N.order > best.order:
+            if order_ok(N.order, arg) and N.order > best.order:
                 best = N
         return best
 
     def O_upper_p(self, p: int) -> Group:
         """Smallest normal subgroup with p-group quotient: <all p'-elements>."""
-        return self.memo("named", ("O_upper_p", p), lambda: self.generated(
-            [e for e in self.group.elements() if e.order() % p != 0]))
+        return self.memo("named", ("O_upper_p", p), self._p_prime_generated, p)
+
+    def _p_prime_generated(self, p: int) -> Group:
+        return self.generated([e for e in self.group.elements()
+                               if e.order() % p != 0])
 
     @_memoized
     def fitting(self) -> Group:
@@ -539,9 +559,11 @@ class GroupContext:
             return self._quotient_ctx(N)
         # G/1 is G: no coset action.  Memoizing only the homomorphism keeps
         # the context free of references to itself
-        return self, self.memo("named", "identity_hom", lambda: Homomorphism(
-            self.group, self.group, self.group.generators,
-            {e: e for e in self.group.elements()}))
+        return self, self.memo("named", "identity_hom", self._identity_hom)
+
+    def _identity_hom(self) -> Homomorphism:
+        return Homomorphism(self.group, self.group, self.group.generators,
+                            {e: e for e in self.group.elements()})
 
     @_memoized
     def _quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
@@ -552,25 +574,25 @@ class GroupContext:
         """q[i] is the position in G/N's index of the image of the element
         at position i of G's (-1 off G): a walk of G's Cayley graph along
         the generator columns of both indexes."""
-        def compute() -> list[int]:
-            qctx, hom = self.quotient_ctx(N)
-            index, qindex = self._index, qctx._index
-            steps = [(index.column(g), qindex.column(x))
-                     for g, x in zip(self._at(self.group.generators),
-                                     qctx._at(hom.images))]
-            q = [-1] * len(index.elements)
-            q[0] = 0
-            walk = [0]
-            for x in walk:
-                qx = q[x]
-                for col, qcol in steps:
-                    y = col[x]
-                    if q[y] < 0:
-                        q[y] = qcol[qx]
-                        walk.append(y)
-            return q
+        return self.memo("quotient_positions", N.key, self._walk_quotient, N)
 
-        return self.memo("quotient_positions", N.key, compute)
+    def _walk_quotient(self, N: Group) -> list[int]:
+        qctx, hom = self.quotient_ctx(N)
+        index, qindex = self._index, qctx._index
+        steps = [(index.column(g), qindex.column(x))
+                 for g, x in zip(self._at(self.group.generators),
+                                 qctx._at(hom.images))]
+        q = [-1] * len(index.elements)
+        q[0] = 0
+        walk = [0]
+        for x in walk:
+            qx = q[x]
+            for col, qcol in steps:
+                y = col[x]
+                if q[y] < 0:
+                    q[y] = qcol[qx]
+                    walk.append(y)
+        return q
 
     def quotient_image(self, N: Group, K: Group) -> Group:
         """KN/N as the quotient context's own subgroup object: K's positions
@@ -630,15 +652,16 @@ class GroupContext:
         for upper = G, the preimage of Z(G/lower).  Lower must be normal in G:
         then [g, h] lies in lower exactly when lower h g = lower g h, and the
         generators h of upper suffice."""
-        def compute() -> Group:
-            if not self.is_normal(lower):
-                raise NotNormalError("lower is not a normal subgroup of G")
-            label = self._coset_labels(lower)
-            index = self._index
-            out = self.positions(self.group)
-            for h in self._at(upper.generators):
-                row, col = index.row(h), index.column(h)
-                out = [g for g in out if label[row[g]] == label[col[g]]]
-            return self._subgroup_at(out)
+        return self.memo("chief_centralizer", (lower.key, upper.key),
+                         self._centralize, lower, upper)
 
-        return self.memo("chief_centralizer", (lower.key, upper.key), compute)
+    def _centralize(self, lower: Group, upper: Group) -> Group:
+        if not self.is_normal(lower):
+            raise NotNormalError("lower is not a normal subgroup of G")
+        label = self._coset_labels(lower)
+        index = self._index
+        out = self.positions(self.group)
+        for h in self._at(upper.generators):
+            row, col = index.row(h), index.column(h)
+            out = [g for g in out if label[row[g]] == label[col[g]]]
+        return self._subgroup_at(out)

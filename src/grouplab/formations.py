@@ -48,13 +48,17 @@ def in_formation(G: Group, formation: str) -> bool:
 
 
 def _derived_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    return ctx.memo("named", "derived_series",
-                    lambda: series(ctx.group, "derived").chain)
+    return ctx.memo("named", "derived_series", _series_chain, ctx.group,
+                    "derived")
 
 
 def _lower_central_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    return ctx.memo("named", "lower_central_series",
-                    lambda: series(ctx.group, "lower_central").chain)
+    return ctx.memo("named", "lower_central_series", _series_chain,
+                    ctx.group, "lower_central")
+
+
+def _series_chain(G: Group, kind: str) -> tuple[Group, ...]:
+    return series(G, kind).chain
 
 
 def _factor_abelian(lower: Group, upper: Group) -> bool:
@@ -123,8 +127,8 @@ def f_hypercenter(G: Group, formation: str) -> Group:
     """Z_inf^F(G), computed by ascent through F-central minimal normal
     subgroups of successive quotients."""
     ctx = context_of(G)
-    return ctx.memo("hypercenter", formation,
-                    lambda: _hypercenter_ascent(ctx, formation))
+    return ctx.memo("hypercenter", formation, _hypercenter_ascent, ctx,
+                    formation)
 
 
 def _hypercenter_ascent(ctx: GroupContext, formation: str) -> Group:
@@ -151,8 +155,7 @@ def _hypercenter_ascent(ctx: GroupContext, formation: str) -> Group:
 def f_residual(G: Group, formation: str) -> Group:
     """G^F: the smallest normal subgroup with quotient in F (exhaustive scan)."""
     ctx = context_of(G)
-    return ctx.memo("residual", formation,
-                    lambda: _residual_scan(ctx, formation))
+    return ctx.memo("residual", formation, _residual_scan, ctx, formation)
 
 
 def _residual_scan(ctx: GroupContext, formation: str) -> Group:
@@ -187,5 +190,10 @@ def hypercenter_preimage(G: Group, N: Group, formation: str) -> frozenset:
 def hypercenter_cover(ctx: GroupContext, N: Group, formation: str) -> Group:
     """The subgroup of the elements of ctx.group mapping into
     Z_inf^F(G/N), for normal N."""
-    return ctx.memo("hyper_preimage", (N.key, formation), lambda: ctx.preimage(
-        N, f_hypercenter(ctx.quotient_ctx(N)[0].group, formation)))
+    return ctx.memo("hyper_preimage", (N.key, formation), _hypercenter_cover,
+                    ctx, N, formation)
+
+
+def _hypercenter_cover(ctx: GroupContext, N: Group, formation: str) -> Group:
+    return ctx.preimage(
+        N, f_hypercenter(ctx.quotient_ctx(N)[0].group, formation))

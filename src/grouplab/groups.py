@@ -48,8 +48,8 @@ _images = attrgetter("images")
 class Group:
     """Immutable permutation group: its generators and its element set."""
 
-    __slots__ = ("degree", "generators", "_elements", "_element_set", "_key",
-                 "_hash")
+    __slots__ = ("degree", "generators", "order", "_elements", "_element_set",
+                 "_key", "_hash")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER,
@@ -70,16 +70,13 @@ class Group:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_elements", tuple(sorted(elems, key=_images)))
+        object.__setattr__(self, "order", len(self._elements))
         object.__setattr__(self, "_element_set", frozenset(elems))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Group is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self._elements)
 
     def __contains__(self, perm: Permutation) -> bool:
         return isinstance(perm, Permutation) and perm in self._element_set

@@ -48,7 +48,7 @@ def is_s_permutable(G: Group, H: Group) -> Verdict:
     Sylow subgroup in deterministic order.
     """
     ctx = context_of(G)
-    return ctx.memo("sperm", H.key, lambda: _s_permutable_uncached(ctx, H))
+    return ctx.memo("sperm", H.key, _s_permutable_uncached, ctx, H)
 
 
 # Each predicate validates H on a memo miss only: a hit under H.key is the
@@ -75,16 +75,16 @@ def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
     Z_inf^F(G/H_G).  Exhaustive scan over normal subgroups in deterministic
     (ascending) order; the witness is the smallest qualifying T."""
     ctx = context_of(G)
-    return ctx.memo("fsq", (H.key, formation), lambda: _fsq_scan(
-        ctx, H, formation, require_core_in_t=False))
+    return ctx.memo("fsq", (H.key, formation), _fsq_scan, ctx, H, formation,
+                    False)
 
 
 def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
     """Equivalent phrasing: T restricted to normal subgroups containing H_G,
     containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
     ctx = context_of(G)
-    return ctx.memo("fsq_variant", (H.key, formation), lambda: _fsq_scan(
-        ctx, H, formation, require_core_in_t=True))
+    return ctx.memo("fsq_variant", (H.key, formation), _fsq_scan, ctx, H,
+                    formation, True)
 
 
 def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict:
@@ -128,8 +128,8 @@ def has_f_supplement(G: Group, H: Group, kind: str,
     conjugation-invariant in T for fixed H), pruned by |H|*|T| >= |G|.
     """
     ctx = context_of(G)
-    return ctx.memo("supplement", (H.key, kind, p),
-                    lambda: _supplement_scan(ctx, H, kind, p))
+    return ctx.memo("supplement", (H.key, kind, p), _supplement_scan, ctx, H,
+                    kind, p)
 
 
 def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:

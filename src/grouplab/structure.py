@@ -126,69 +126,79 @@ def is_p_group(G: Group, p: int) -> bool:
 
 
 def is_soluble(G: Group) -> bool:
-    ctx = context_of(G)
-    return ctx.memo("pred", "soluble",
-                    lambda: is_abelian(G)
-                    or series(G, "derived").chain[-1].order == 1)
+    return context_of(G).memo("pred", "soluble", _soluble, G)
+
+
+def _soluble(G: Group) -> bool:
+    return is_abelian(G) or series(G, "derived").chain[-1].order == 1
 
 
 def is_perfect(G: Group) -> bool:
     ctx = context_of(G)
-    return ctx.memo("pred", "perfect",
-                    lambda: derived_subgroup(ctx, G).order == G.order)
+    return ctx.memo("pred", "perfect", _perfect, ctx)
+
+
+def _perfect(ctx: GroupContext) -> bool:
+    return derived_subgroup(ctx, ctx.group).order == ctx.group.order
 
 
 def is_nilpotent(G: Group) -> bool:
     """Every Sylow subgroup normal, tested via |O_p| = p-part for each p."""
     ctx = context_of(G)
+    return ctx.memo("pred", "nilpotent", _nilpotent, ctx)
 
-    def check() -> bool:
-        if is_abelian(G):
-            return True
-        return all(ctx.O_p(p).order == p_part(G.order, p)
-                   for p in ctx.primes())
 
-    return ctx.memo("pred", "nilpotent", check)
+def _nilpotent(ctx: GroupContext) -> bool:
+    G = ctx.group
+    if is_abelian(G):
+        return True
+    return all(ctx.O_p(p).order == p_part(G.order, p) for p in ctx.primes())
 
 
 def is_supersoluble(G: Group) -> bool:
     """Every chief factor of prime order."""
     ctx = context_of(G)
+    return ctx.memo("pred", "supersoluble", _supersoluble, ctx)
 
-    def check() -> bool:
-        if is_abelian(G):
-            return True
-        return all(is_prime(upper.order // lower.order)
-                   for lower, upper in ctx.chief_pairs())
 
-    return ctx.memo("pred", "supersoluble", check)
+def _supersoluble(ctx: GroupContext) -> bool:
+    if is_abelian(ctx.group):
+        return True
+    return all(is_prime(upper.order // lower.order)
+               for lower, upper in ctx.chief_pairs())
 
 
 def is_p_nilpotent(G: Group, p: int) -> bool:
     """A normal p-complement exists, tested as |O_{p'}(G)| = |G| / p-part."""
     require_prime(p)
     ctx = context_of(G)
-    return ctx.memo("pred", ("p_nilpotent", p),
-                    lambda: ctx.O_pi_prime({p}).order
-                    == G.order // p_part(G.order, p))
+    return ctx.memo("pred", ("p_nilpotent", p), _p_nilpotent, ctx, p)
+
+
+def _p_nilpotent(ctx: GroupContext, p: int) -> bool:
+    order = ctx.group.order
+    return ctx.O_pi_prime({p}).order == order // p_part(order, p)
 
 
 def is_simple(G: Group) -> bool:
     ctx = context_of(G)
-    return ctx.memo("pred", "simple",
-                    lambda: G.order > 1 and len(ctx.normal_subgroups()) == 2)
+    return ctx.memo("pred", "simple", _simple, ctx)
+
+
+def _simple(ctx: GroupContext) -> bool:
+    return ctx.group.order > 1 and len(ctx.normal_subgroups()) == 2
 
 
 def is_quasisimple(G: Group) -> bool:
     ctx = context_of(G)
+    return ctx.memo("pred", "quasisimple", _quasisimple, ctx)
 
-    def check() -> bool:
-        if not is_perfect(G) or G.order == 1:
-            return False
-        qctx, _ = ctx.quotient_ctx(ctx.center())
-        return is_simple(qctx.group)
 
-    return ctx.memo("pred", "quasisimple", check)
+def _quasisimple(ctx: GroupContext) -> bool:
+    if not is_perfect(ctx.group) or ctx.group.order == 1:
+        return False
+    qctx, _ = ctx.quotient_ctx(ctx.center())
+    return is_simple(qctx.group)
 
 
 def is_quasinilpotent(G: Group) -> bool:
@@ -222,42 +232,42 @@ def predicate(G: Group, prop: str, p: Optional[int] = None) -> bool:
 def components(G: Group) -> tuple[Group, ...]:
     """All subnormal quasisimple subgroups."""
     ctx = context_of(G)
+    return ctx.memo("named", "components", _components, ctx)
 
-    def compute() -> tuple[Group, ...]:
-        if is_soluble(G):
-            return ()
-        out = []
-        for H in ctx.all_subgroups():
-            if H.order < 60 or is_abelian(H):
-                continue
-            if not ctx.is_subnormal(H)[0]:
-                continue
-            if is_quasisimple(H):
-                out.append(H)
-        return tuple(out)
 
-    return ctx.memo("named", "components", compute)
+def _components(ctx: GroupContext) -> tuple[Group, ...]:
+    if is_soluble(ctx.group):
+        return ()
+    out = []
+    for H in ctx.all_subgroups():
+        if H.order < 60 or is_abelian(H):
+            continue
+        if not ctx.is_subnormal(H)[0]:
+            continue
+        if is_quasisimple(H):
+            out.append(H)
+    return tuple(out)
 
 
 def layer(G: Group) -> Group:
     """E(G): the subgroup generated by all components."""
     ctx = context_of(G)
+    return ctx.memo("named", "layer", _layer, ctx)
 
-    def compute() -> Group:
-        gens: list[Permutation] = []
-        for C in components(G):
-            gens.extend(C.generators)
-        return ctx.generated(gens) if gens else ctx.trivial_subgroup()
 
-    return ctx.memo("named", "layer", compute)
+def _layer(ctx: GroupContext) -> Group:
+    gens: list[Permutation] = []
+    for C in components(ctx.group):
+        gens.extend(C.generators)
+    return ctx.generated(gens) if gens else ctx.trivial_subgroup()
 
 
 def generalized_fitting(G: Group) -> Group:
     """F*(G) = F(G) E(G)."""
     ctx = context_of(G)
+    return ctx.memo("named", "generalized_fitting", _generalized_fitting, ctx)
 
-    def compute() -> Group:
-        gens = list(ctx.fitting().generators) + list(layer(G).generators)
-        return ctx.generated(gens) if gens else ctx.trivial_subgroup()
 
-    return ctx.memo("named", "generalized_fitting", compute)
+def _generalized_fitting(ctx: GroupContext) -> Group:
+    gens = list(ctx.fitting().generators) + list(layer(ctx.group).generators)
+    return ctx.generated(gens) if gens else ctx.trivial_subgroup()

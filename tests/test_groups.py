@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from grouplab.catalog import (
     alternating,
     builtin_group,
+    core_catalog_path,
     cyclic,
     dicyclic,
     dihedral,
     elementary_abelian,
+    load_catalog,
     symmetric,
 )
 from grouplab.errors import (
@@ -85,6 +87,16 @@ def test_known_orders():
     assert elementary_abelian(3, 2).order == 9
     assert builtin_group("SL(2,3)").order == 24
     assert builtin_group("SL(2,5)").order == 120
+
+
+def test_order_is_the_element_count_and_read_only():
+    """order is stored once, at construction; a Group stays immutable."""
+    for entry in load_catalog(core_catalog_path()).entries:
+        G = entry.group
+        assert G.order == len(G.elements()) == len(G.element_set())
+    with pytest.raises(AttributeError):
+        G.order = 1
+    assert G.order == len(G.elements())
 
 
 def test_from_elements_reconstructs():

@@ -1,7 +1,7 @@
 """Memoization: a repeated query returns the stored object, not a recomputation."""
 
 from grouplab.catalog import builtin_group
-from grouplab.context import GroupContext, context_of
+from grouplab.context import GroupContext, _memoized, context_of
 from grouplab.formations import f_hypercenter, f_residual, hypercenter_preimage
 from grouplab.quasinormal import (
     has_f_supplement,
@@ -9,6 +9,7 @@ from grouplab.quasinormal import (
     is_fs_quasinormal_variant,
     is_s_permutable,
 )
+from grouplab.groups import from_elements
 from grouplab.perms import Permutation
 from grouplab.structure import generalized_fitting
 
@@ -48,14 +49,44 @@ def test_memoized_entry_points_return_the_stored_object(monkeypatch):
 
 
 def test_memo_computes_once_per_table_and_key():
+    """compute(*args) runs on the first use of a (table, key) pair only, and
+    a stored False or None is a hit."""
     ctx = GroupContext(builtin_group("symmetric(3)"))
     computed = []
 
-    def compute():
-        computed.append(1)
-        return False
+    def compute(*args):
+        computed.append(args)
+        return args[0] if args else False
 
-    assert ctx.memo("test_table", "k", compute) is False
-    assert ctx.memo("test_table", "k", compute) is False
-    assert ctx.memo("other_table", "k", compute) is False
-    assert len(computed) == 2
+    for _ in range(3):
+        assert ctx.memo("test_table", "k", compute) is False
+        assert ctx.memo("test_table", "j", compute, None) is None
+        assert ctx.memo("other_table", "k", compute, 1, 2) == 1
+    assert computed == [(), (None,), (1, 2)]
+
+
+def test_memoized_method_runs_once_per_subgroup():
+    """A memoized method's body runs once with no argument, and once per
+    subgroup element set: an equal subgroup object is a hit."""
+    runs = []
+
+    class Probe(GroupContext):
+        @_memoized
+        def whole(self):
+            runs.append("whole")
+            return self.group.order
+
+        @_memoized
+        def of(self, H):
+            runs.append(H.order)
+            return H.order
+
+    G = builtin_group("symmetric(3)")
+    ctx = Probe(G)
+    H = ctx.subgroup_classes()[1][0]
+    for _ in range(3):
+        assert ctx.whole() == 6
+        assert ctx.of(H) == 2
+        assert ctx.of(from_elements(G.degree, H.elements())) == 2
+        assert ctx.of(G) == 6
+    assert runs == ["whole", 2, 6]
