@@ -33,6 +33,8 @@ MAGIC = "grouplab-lattice 1"
 _ENV_DIR = "GROUPLAB_CACHE_DIR"
 _ENV_ON = "GROUPLAB_CACHE"
 _enabled: Optional[bool] = None
+# the temp files of store_lattice: <key>.<random>.tmp
+_TEMP_GLOB = "*.*.tmp"
 
 
 def enabled() -> bool:
@@ -75,7 +77,7 @@ def store_lattice(G: Group, subgroups: tuple[Group, ...]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file of its own, so concurrent writers of one group never mix
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".",
-                               suffix=".tmp")
+                               suffix=".tmp")   # matches _TEMP_GLOB
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
@@ -129,14 +131,17 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
 
 
 def clear_cache() -> int:
-    """Delete all cache files; returns the number removed."""
+    """Delete all cache files, and the temp files of stores that never
+    finished, which a killed writer leaves behind; returns the number
+    removed.  A store running meanwhile may lose its temp file and fail."""
     d = cache_dir()
     if not d.exists():
         return 0
     n = 0
-    for f in d.glob("*.lattice"):
-        f.unlink()
-        n += 1
+    for f in [*d.glob("*.lattice"), *d.glob(_TEMP_GLOB)]:
+        if f.is_file():
+            f.unlink()
+            n += 1
     return n
 
 

@@ -190,7 +190,8 @@ def lattice(group, catalog_path):
               help="Catalog file path, or 'core' for the shipped catalog.")
 @click.option("--theorems", default="all", show_default=True,
               help="'all' or comma-separated theorem ids.")
-@click.option("--jobs", default=1, show_default=True, type=int)
+@click.option("--jobs", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--report", "report_path", default=None,
               type=click.Path(), help="Write the JSON report here.")
 def verify(catalog_path, theorems, jobs, report_path):

@@ -13,17 +13,19 @@ for a group that no registry produced, owns a registry that holds one
 :class:`Group` object per element set.  Every subgroup built in the root's
 tree goes into it, and ``context_of(H)`` for such a subgroup returns a
 context in the same tree: it shares the root's registry and reads its
-lattice off the root's.  No linking call is needed.  Quotient groups are
-built outside any registry, so each quotient context is a root of its own.
+lattice off the root's.  No linking call is needed.  A quotient G/N is
+built once, by :meth:`GroupContext.coset_action`, from the element index's
+right-coset labels; its context is a root of its own unless another tree
+already holds its element set.
 
 Each root also owns the element index of its group
 (:class:`~grouplab.cayley.ElementIndex`): every context in the tree closes
 subgroups on that index, as int masks, and the registry is keyed by mask.
 The root also keeps each registry subgroup's mask and sorted positions, so
-the section kernels (quotient images and preimages, conjugation of elements
-and subgroups, centralizers of chief factors, joins, intersections and
-HK = KH) read them off the index; permutations are only built where a
-subgroup enters or leaves it.
+the section kernels (quotient images, conjugation of elements and
+subgroups, centralizers of chief factors, joins, intersections and HK = KH)
+read them off the index; permutations are only built where a subgroup enters
+or leaves it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Callable, Iterable, Optional, TypeVar
 
 from .cayley import ElementIndex
 from .errors import NotASubgroupError, NotNormalError
-from .groups import Group, Homomorphism, quotient, require_subgroup
-from .perms import Permutation
+from .groups import Group, require_subgroup
+from .perms import Permutation, identity
 from .primes import p_part, prime_divisors, require_prime
 
 T = TypeVar("T")
@@ -554,61 +556,57 @@ class GroupContext:
     # ------------------------------------------------------------------
     # quotients
 
-    def quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
-        if N.order > 1:
-            return self._quotient_ctx(N)
-        # G/1 is G: no coset action.  Memoizing only the homomorphism keeps
-        # the context free of references to itself
-        return self, self.memo("named", "identity_hom", self._identity_hom)
+    def coset_action(self, N: Group) -> tuple["GroupContext", list[int]]:
+        """G/N acting on the right cosets of N, numbered by their smallest
+        positions: the quotient's context, and q, where q[i] is the position
+        in that context's index of the image of the element at position i
+        (-1 off G).  Raises NotNormalError unless N is a normal subgroup of
+        G."""
+        return self.memo("coset_action", N.key, self._act_on_cosets, N)
 
-    def _identity_hom(self) -> Homomorphism:
-        return Homomorphism(self.group, self.group, self.group.generators,
-                            {e: e for e in self.group.elements()})
-
-    @_memoized
-    def _quotient_ctx(self, N: Group) -> tuple["GroupContext", Homomorphism]:
-        res = quotient(self.group, N)
-        return context_of(res.group), res.epimorphism
-
-    def _quotient_positions(self, N: Group) -> list[int]:
-        """q[i] is the position in G/N's index of the image of the element
-        at position i of G's (-1 off G): a walk of G's Cayley graph along
-        the generator columns of both indexes."""
-        return self.memo("quotient_positions", N.key, self._walk_quotient, N)
-
-    def _walk_quotient(self, N: Group) -> list[int]:
-        qctx, hom = self.quotient_ctx(N)
-        index, qindex = self._index, qctx._index
-        steps = [(index.column(g), qindex.column(x))
-                 for g, x in zip(self._at(self.group.generators),
-                                 qctx._at(hom.images))]
-        q = [-1] * len(index.elements)
-        q[0] = 0
+    def _act_on_cosets(self, N: Group):
+        if not self.is_normal(N):
+            raise NotNormalError("N is not a normal subgroup of G")
+        label = self._coset_labels(N)
+        reps = [x for x in self.positions(self.group) if label[x] == x]
+        number = {r: c for c, r in enumerate(reps)}
+        coset = [number.get(x, -1) for x in label]
+        # a generator maps coset c to the coset of reps[c] times it
+        cols = [self._index.column(g) for g in self._at(self.group.generators)]
+        images = tuple(Permutation([coset[col[r]] for r in reps])
+                       for col in cols)
+        # one walk over the cosets: the image of coset d = c g is that of c
+        # times that of g
+        elems = [None] * len(reps)
+        elems[0] = identity(len(reps))
         walk = [0]
-        for x in walk:
-            qx = q[x]
-            for col, qcol in steps:
-                y = col[x]
-                if q[y] < 0:
-                    q[y] = qcol[qx]
-                    walk.append(y)
-        return q
+        for c in walk:
+            for col, image in zip(cols, images):
+                d = coset[col[reps[c]]]
+                if elems[d] is None:
+                    elems[d] = elems[c] * image
+                    walk.append(d)
+        Q = Group(len(reps), images, _skip_degree_check=True, _closure=elems)
+        if len(Q.element_set()) != Q.order:
+            raise AssertionError("quotient order mismatch")  # pragma: no cover
+        # positions in the quotient context's own index, which need not be
+        # Q's element order: the context may belong to another tree
+        qctx = context_of(Q)
+        qpos = qctx._at(elems)
+        return qctx, [qpos[c] if c >= 0 else -1 for c in coset]
+
+    def quotient_ctx(self, N: Group) -> "GroupContext":
+        """The context of G/N: this one for N = 1."""
+        return self if N.order == 1 else self.coset_action(N)[0]
 
     def quotient_image(self, N: Group, K: Group) -> Group:
         """KN/N as the quotient context's own subgroup object: K's positions
-        mapped through the quotient position map, found in the quotient's
-        registry by mask."""
-        qctx, _ = self.quotient_ctx(N)
-        q = self._quotient_positions(N)
+        mapped through the coset action's position map, found in the
+        quotient's registry by mask."""
+        if N.order == 1:
+            return self._subgroup_at(self.positions(K))
+        qctx, q = self.coset_action(N)
         return qctx._subgroup_at({q[i] for i in self.positions(K)})
-
-    def preimage(self, N: Group, S: Group) -> Group:
-        """The subgroup of G mapping into S, a subgroup of G/N."""
-        qctx, _ = self.quotient_ctx(N)
-        q = self._quotient_positions(N)
-        image = set(qctx.positions(S))
-        return self._subgroup_at([i for i in self.positions(self.group)
-                                  if q[i] in image])
 
     # ------------------------------------------------------------------
     # chief factors
@@ -630,8 +628,9 @@ class GroupContext:
         return tuple(pairs)
 
     def _coset_labels(self, L: Group) -> list[int]:
-        """label[i] names the right coset L x of the element x at position i:
-        the orbits of left multiplication by L's generators."""
+        """label[i] names the right coset L x of the element x at position i
+        by its smallest position: the orbits of left multiplication by L's
+        generators."""
         rows = [self._index.row(l) for l in self._at(L.generators)]
         label = [-1] * len(self._index.elements)
         for x in self.positions(self.group):

@@ -10,7 +10,7 @@ F-hypercenter and the F-residual.
 from __future__ import annotations
 
 from .context import GroupContext, context_of, subgroup_sort_key
-from .errors import BoundExceededError
+from .errors import BoundExceededError, NotNormalError
 from .groups import Group, MAX_DEGREE, MAX_ORDER, quotient, semidirect_product
 from .primes import is_prime, prime_divisors
 from .structure import (
@@ -124,16 +124,28 @@ def is_f_central_generic(G: Group, cf: ChiefFactor, formation: str) -> bool:
 
 
 def f_hypercenter(G: Group, formation: str) -> Group:
-    """Z_inf^F(G), computed by ascent through F-central minimal normal
-    subgroups of successive quotients."""
+    """Z_inf^F(G): the hypercenter preimage for N = 1."""
+    return hypercenter_preimage(G, context_of(G).trivial_subgroup(), formation)
+
+
+def hypercenter_preimage(G: Group, N: Group, formation: str) -> Group:
+    """The preimage in G of Z_inf^F(G/N), for normal N: the ascent from N.
+
+    The chief factors of G above N are those of G/N, with the same orders,
+    and their centralizers are the preimages of those of G/N, so each one is
+    F-central in G exactly when its image is F-central in G/N.
+    """
     ctx = context_of(G)
-    return ctx.memo("hypercenter", formation, _hypercenter_ascent, ctx,
-                    formation)
+    return ctx.memo("hypercenter", (N.key, formation), _hypercenter_ascent,
+                    ctx, N, formation)
 
 
-def _hypercenter_ascent(ctx: GroupContext, formation: str) -> Group:
+def _hypercenter_ascent(ctx: GroupContext, Z: Group, formation: str) -> Group:
+    """The largest normal subgroup above Z reached through F-central chief
+    factors, adding every F-central one above the current term at once."""
+    if not ctx.is_normal(Z):
+        raise NotNormalError("N is not a normal subgroup of G")
     G = ctx.group
-    Z = ctx.trivial_subgroup()
     pairs = ctx.chief_pairs()
     while True:
         gens = list(Z.generators)
@@ -180,20 +192,3 @@ def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
                    for lower, upper in ctx.chief_pairs()
                    if nset <= lower.element_set())
     raise ValueError(f"unknown formation: {formation!r}")
-
-
-def hypercenter_preimage(G: Group, N: Group, formation: str) -> frozenset:
-    """Elements of G mapping into Z_inf^F(G/N), for normal N."""
-    return hypercenter_cover(context_of(G), N, formation).element_set()
-
-
-def hypercenter_cover(ctx: GroupContext, N: Group, formation: str) -> Group:
-    """The subgroup of the elements of ctx.group mapping into
-    Z_inf^F(G/N), for normal N."""
-    return ctx.memo("hyper_preimage", (N.key, formation), _hypercenter_cover,
-                    ctx, N, formation)
-
-
-def _hypercenter_cover(ctx: GroupContext, N: Group, formation: str) -> Group:
-    return ctx.preimage(
-        N, f_hypercenter(ctx.quotient_ctx(N)[0].group, formation))

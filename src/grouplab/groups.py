@@ -21,7 +21,6 @@ from .errors import (
     DegreeMismatchError,
     InvalidActionError,
     NotASubgroupError,
-    NotNormalError,
 )
 from .perms import Permutation, identity
 
@@ -241,50 +240,19 @@ class QuotientResult:
     epimorphism: Homomorphism
 
 
-def is_normal_in(N: Group, G: Group) -> bool:
-    if not N.is_subgroup_of(G):
-        return False
-    nset = N.element_set()
-    return all(g.inverse() * n * g in nset
-               for g in G.generators for n in N.generators)
-
-
 def quotient(G: Group, N: Group) -> QuotientResult:
-    """G/N as a permutation group on the right cosets of N.
-
-    The quotient degree is the index |G : N| (no recompression); the returned
-    epimorphism maps arbitrary elements via the coset table.
-    """
-    if not is_normal_in(N, G):
-        raise NotNormalError("N is not a normal subgroup of G")
-    if N.order == G.order:
-        q = trivial_group()
-        images = [identity(1)] * len(G.generators)
-        table = {e: identity(1) for e in G.elements()}
-        return QuotientResult(q, Homomorphism(G, q, images, table))
-    nset = N.element_set()
-    # canonical representative of the coset of e: minimal element of N*e
-    coset_of: dict[Permutation, Permutation] = {}
-    reps = []
-    for e in G.elements():
-        if e in coset_of:
-            continue
-        coset = sorted(n * e for n in nset)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            coset_of[c] = rep
-    reps.sort()
-    index_of = {rep: i for i, rep in enumerate(reps)}
-    degree = len(reps)
-
-    def perm_of(x: Permutation) -> Permutation:
-        return Permutation(tuple(index_of[coset_of[rep * x]] for rep in reps))
-
-    images = [perm_of(g) for g in G.generators]
-    qgroup = Group(degree, images, _skip_degree_check=True)
-    if qgroup.order * N.order != G.order:
-        raise AssertionError("quotient order mismatch")  # pragma: no cover
+    """G/N as a permutation group on the right cosets of N, numbered by their
+    smallest elements, so of degree |G : N|, with the epimorphism that maps
+    each generator of G to its coset permutation.  Raises NotNormalError
+    unless N is a normal subgroup of G."""
+    from .context import context_of   # context imports this module
+    ctx = context_of(G)
+    qctx, q = ctx.coset_action(N)
+    # ctx.group may be another object with G's elements and other generators
+    at = qctx._index.elements
+    images = [at[q[i]] for i in ctx._at(G.generators)]
+    qgroup = Group(qctx.group.degree, images, _skip_degree_check=True,
+                   _closure=qctx.group.elements())
     return QuotientResult(qgroup, Homomorphism(G, qgroup, images))
 
 

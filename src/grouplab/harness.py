@@ -113,7 +113,9 @@ def run_suite(catalog: Catalog, theorem_ids: tuple[str, ...],
                  theorem_ids)
             for e in entries]
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at once: no more than
+        # there are groups
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_group, work))
     else:
         results = [_run_group(j) for j in work]

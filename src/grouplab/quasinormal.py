@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import context_of
-from .formations import hypercenter_cover, in_formation
+from .formations import hypercenter_preimage, in_formation
 from .groups import Group, require_subgroup
 from .structure import is_p_nilpotent
 
@@ -101,7 +101,8 @@ def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict
         inter = hmask & tmask
         if inter & (inter - 1):  # the identity always maps into the hypercenter
             if wmask is None:
-                wmask = ctx.mask(hypercenter_cover(ctx, core, formation))
+                wmask = ctx.mask(hypercenter_preimage(ctx.group, core,
+                                                       formation))
             if inter & ~wmask:
                 continue
         if is_s_permutable(ctx.group, ctx.join(H, T)).holds:

@@ -197,8 +197,7 @@ def is_quasisimple(G: Group) -> bool:
 def _quasisimple(ctx: GroupContext) -> bool:
     if not is_perfect(ctx.group) or ctx.group.order == 1:
         return False
-    qctx, _ = ctx.quotient_ctx(ctx.center())
-    return is_simple(qctx.group)
+    return is_simple(ctx.quotient_ctx(ctx.center()).group)
 
 
 def is_quasinilpotent(G: Group) -> bool:

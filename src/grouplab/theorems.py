@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .context import GroupContext, context_of
 from .formations import FORMATIONS, in_formation, quotient_in_formation
-from .groups import Group, quotient, set_product
+from .groups import Group, set_product
 from .perms import to_cycles
 from .primes import is_prime, p_part, prime_divisors
 from .quasinormal import (
@@ -202,8 +202,8 @@ def _fstar(H: Group) -> Group:
 def _fstar_images(ctx: GroupContext, N: Group,
                   fs_g: Group) -> tuple[Group, Group]:
     """The image of F*(G) = fs_g in G/N, and F*(G/N)."""
-    qctx, _ = ctx.quotient_ctx(N)
-    return ctx.quotient_image(N, fs_g), generalized_fitting(qctx.group)
+    return (ctx.quotient_image(N, fs_g),
+            generalized_fitting(ctx.quotient_ctx(N).group))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _corresponds(pred):
     """Correspondence: pred(K/N) in G/N iff pred(K) in G, for N <= K."""
     def encode(ctx, params, wit):
         for N in ctx.normal_subgroups():
-            qctx, _ = ctx.quotient_ctx(N)
+            qctx = ctx.quotient_ctx(N)
             nset = N.element_set()
             for K in ctx.all_subgroups():
                 if nset <= K.element_set():
@@ -290,7 +290,7 @@ def _enc_l221(ctx, params, wit):
 def _enc_l223(ctx, params, wit):
     F = params["formation"]
     for N in ctx.normal_subgroups():
-        qctx, _ = ctx.quotient_ctx(N)
+        qctx = ctx.quotient_ctx(N)
         for E in _class_reps(ctx):
             if math.gcd(N.order, E.order) == 1 and _fsq(ctx, E, F):
                 yield _fsq(qctx, ctx.quotient_image(N, E), F)
@@ -347,7 +347,7 @@ def _enc_l26(ctx, params, wit):
 def _enc_l271(ctx, params, wit):
     for H in _class_reps(ctx):
         if _supplement(ctx, H, params):
-            yield all(_supplement(ctx.quotient_ctx(N)[0],
+            yield all(_supplement(ctx.quotient_ctx(N),
                                   ctx.quotient_image(N, H), params)
                       for N in ctx.normal_subgroups())
 
@@ -427,7 +427,7 @@ def _enc_l2125(ctx, params, wit):
     ZE = context_of(E).center()
     ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()
     yield ok and (E.order == ZE.order
-                  or _semisimple_nonabelian(quotient(E, ZE).group))
+                  or _semisimple_nonabelian(context_of(E).quotient_ctx(ZE).group))
 
 
 def _enc_l2131(ctx, params, wit):

@@ -2,16 +2,19 @@
 index.
 
 These are the routines grouplab ran before it read conjugation, cosets,
-quotient images and preimages off its element index.  Every element is a
-``Permutation`` and every product is computed; they use no Cayley table,
-no position and no mask.  Each returns element keys or element sets, so a
-test can compare it with the kernel's registry objects.
+quotients, quotient images and preimages off its element index.  Every
+element is a ``Permutation`` and every product is computed; they use no
+Cayley table, no position and no mask.  Each returns element keys, element
+sets or a fresh quotient, so a test can compare it with the kernel's
+objects.
 """
 
 from __future__ import annotations
 
+from grouplab.errors import NotNormalError
 from grouplab.formations import f_hypercenter
-from grouplab.groups import Group, Homomorphism
+from grouplab.groups import Group, Homomorphism, QuotientResult
+from grouplab.perms import Permutation
 
 
 def subgroup_class_keys(G: Group, subgroups) -> list[list[frozenset]]:
@@ -93,3 +96,31 @@ def hypercenter_preimage(G: Group, qgroup: Group, hom: Homomorphism,
                          formation: str) -> frozenset:
     """The elements of G whose image under hom lies in Z_inf^F(qgroup)."""
     return hom.preimage_elements(f_hypercenter(qgroup, formation))
+
+
+def coset_quotient(G: Group, N: Group) -> QuotientResult:
+    """G/N on the right cosets of N, each formed by products with N and
+    named by its smallest element; the quotient is closed from the coset
+    permutations of G's generators."""
+    nset = N.element_set()
+    if not (N.is_subgroup_of(G)
+            and all(g.inverse() * n * g in nset
+                    for g in G.generators for n in N.generators)):
+        raise NotNormalError("N is not a normal subgroup of G")
+    coset_of: dict[Permutation, Permutation] = {}
+    reps = []
+    for e in G.elements():
+        if e in coset_of:
+            continue
+        coset = sorted(n * e for n in nset)
+        reps.append(coset[0])
+        for c in coset:
+            coset_of[c] = coset[0]
+    reps.sort()
+    index_of = {rep: i for i, rep in enumerate(reps)}
+    images = [Permutation(tuple(index_of[coset_of[rep * g]] for rep in reps))
+              for g in G.generators]
+    qgroup = Group(len(reps), images, _skip_degree_check=True)
+    if qgroup.order * N.order != G.order:
+        raise AssertionError("quotient order mismatch")
+    return QuotientResult(qgroup, Homomorphism(G, qgroup, images))

@@ -85,6 +85,20 @@ def test_clear_and_stats(cache_env):
     assert cache.clear_cache() == 0
 
 
+def test_clear_removes_orphaned_temp_files(cache_env):
+    """A writer killed between mkstemp and os.replace leaves <key>.<x>.tmp
+    behind; clear removes it with the lattice files and nothing else."""
+    G = symmetric(3)
+    cache.store_lattice(G, context_of(G).all_subgroups())
+    key = cache.group_cache_key(G)
+    (cache_env / f"{key}.k3j_x9q1.tmp").write_text("grouplab-lattice 1\n")
+    (cache_env / f"{key}.tmp").mkdir()
+    (cache_env / "notes.txt").write_text("kept")
+    assert cache.clear_cache() == 2
+    assert sorted(p.name for p in cache_env.iterdir()) == sorted(
+        [f"{key}.tmp", "notes.txt"])
+
+
 def test_context_uses_cache(cache_env):
     """A fresh context loads the stored lattice instead of recomputing."""
     G = builtin_group("dicyclic(3)")

@@ -126,6 +126,16 @@ def test_verify_missing_catalog_is_usage_error():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_usage_error(tmp_path, jobs):
+    cat = tmp_path / "one.catalog"
+    cat.write_text("group c4\ndegree 4\ngen (1 2 3 4)\nend\n")
+    r = run("verify", "--catalog", str(cat), "--theorems", "L3.1",
+            "--jobs", jobs)
+    assert r.returncode == 2
+    assert "jobs" in r.stderr
+
+
 def test_cache_stats_and_clear(tmp_path):
     env = {"GROUPLAB_CACHE_DIR": str(tmp_path), "GROUPLAB_CACHE": "1"}
     r = run("cache", "stats", env=env)

@@ -25,7 +25,6 @@ from grouplab.groups import (
     closure,
     direct_product,
     from_elements,
-    is_normal_in,
     quotient,
     semidirect_product,
     set_product,
@@ -149,9 +148,11 @@ def test_quotient_by_whole_group():
 
 
 def test_is_normal_in():
+    from grouplab.context import context_of
     S4 = symmetric(4)
-    assert is_normal_in(alternating(4), S4)
-    assert not is_normal_in(Group(4, [from_cycles("(1 2)", 4)]), S4)
+    ctx = context_of(S4)
+    assert ctx.is_normal(alternating(4))
+    assert not ctx.is_normal(Group(4, [from_cycles("(1 2)", 4)]))
 
 
 def _all_subgroups_of(G):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from grouplab import harness
 from grouplab.catalog import Catalog, CatalogEntry, GroupSpec, builtin_group
 from grouplab.harness import (
     SCHEMA,
@@ -94,3 +95,31 @@ def test_groups_sorted_in_report():
                     ("L3.1",), jobs=1)
     names = [g["group"] for g in rep["groups"]]
     assert names == sorted(names)
+
+
+def test_worker_pool_is_capped_at_the_number_of_groups(monkeypatch):
+    """jobs beyond the group count start no extra workers; the executor is
+    replaced, so no process starts at all."""
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    cat = _catalog("symmetric(3)", "cyclic(4)", "cyclic(5)")
+    rep = run_suite(cat, ("L3.1",), jobs=5000)
+    assert asked == [3]
+    assert rep["group_count"] == 3
+    assert rep["timing"]["jobs"] == 5000
+    run_suite(cat, ("L3.1",), jobs=2)
+    assert asked == [3, 2]

@@ -1,6 +1,7 @@
 """The section kernels on the element index against the permutation oracle
 in ``_section_oracle``: classes of subgroups and of elements, centralizers
-of chief factors, HP = PH, quotient images and hypercenter preimages."""
+of chief factors, HP = PH, quotients, quotient images and hypercenter
+preimages."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from grouplab.catalog import (alternating, core_catalog_path, load_catalog,
 from grouplab.context import clear_contexts, context_of
 from grouplab.errors import NotASubgroupError, NotNormalError
 from grouplab.formations import FORMATIONS, hypercenter_preimage
-from grouplab.groups import Group, from_elements
+from grouplab.groups import Group, from_elements, quotient
 from grouplab.perms import Permutation, from_cycles
 from grouplab.quasinormal import (
     has_f_supplement,
@@ -48,14 +49,16 @@ def check_kernels(ctx):
         for P in sylows:
             assert ctx.permutes(H, P) == oracle.permutes(H, P), (H, P)
     for N in normals:
-        qctx, hom = ctx.quotient_ctx(N)
+        hom = oracle.coset_quotient(G, N).epimorphism
         for cls in ctx.subgroup_classes():
             K = cls[0]
-            assert (ctx.quotient_image(N, K).key
-                    == oracle.quotient_image_key(hom, K))
+            # G/1 is G itself, not the oracle's regular representation
+            want = (K.key if N.order == 1
+                    else oracle.quotient_image_key(hom, K))
+            assert ctx.quotient_image(N, K).key == want
         for F in FORMATIONS:
-            assert (hypercenter_preimage(G, N, F)
-                    == oracle.hypercenter_preimage(G, qctx.group, hom, F))
+            assert (hypercenter_preimage(G, N, F).element_set()
+                    == oracle.hypercenter_preimage(G, hom.target, hom, F))
 
 
 def test_catalog_has_91_groups_of_order_at_most_60():
@@ -67,9 +70,54 @@ def test_catalog_kernels_match_oracle(entry):
     check_kernels(context_of(entry.group))
 
 
+@pytest.mark.parametrize("entry", SMALL, ids=[e.name for e in SMALL])
+def test_catalog_quotients_match_oracle(entry):
+    """groups.quotient, built from the coset labels of the element index,
+    is the permutation oracle's quotient for every normal N, 1 and G
+    included; the coset action's position map q sends each element to its
+    image in the quotient context's own index."""
+    G = entry.group
+    ctx = context_of(G)
+    for N in ctx.normal_subgroups():
+        res, want = quotient(G, N), oracle.coset_quotient(G, N)
+        assert res.group.degree == want.group.degree
+        assert res.group.generators == want.group.generators
+        assert res.group.key == want.group.key
+        assert res.epimorphism.images == want.epimorphism.images
+        qctx, q = ctx.coset_action(N)
+        image_at = qctx._index.elements
+        for e, i in zip(G.elements(), ctx.positions(G)):
+            assert res.epimorphism(e) == want.epimorphism(e)
+            assert image_at[q[i]] == want.epimorphism(e)
+
+
+def test_quotient_follows_the_callers_generators():
+    """A group equal to a registered one but with other generators keeps its
+    own generators in its quotient map and in the quotient."""
+    ctx = context_of(symmetric(4))
+    G = Group(4, [from_cycles("(1 2 3 4)", 4), from_cycles("(1 3)", 4),
+                  from_cycles("(2 3)", 4)])
+    assert context_of(G) is ctx and G.generators != ctx.group.generators
+    for N in ctx.normal_subgroups():
+        res, want = quotient(G, N), oracle.coset_quotient(G, N)
+        assert res.group.generators == want.group.generators
+        assert res.epimorphism.images == want.epimorphism.images
+
+
+def test_coset_action_needs_a_normal_subgroup():
+    S4 = symmetric(4)
+    ctx = context_of(S4)
+    H = ctx.generated([from_cycles("(1 2)", 4)])
+    for build in (ctx.coset_action, ctx.quotient_ctx,
+                  lambda N: quotient(S4, N),
+                  lambda N: hypercenter_preimage(S4, N, "U")):
+        with pytest.raises(NotNormalError):
+            build(H)
+
+
 def test_s4_quotient_kernels_match_oracle():
     ctx = context_of(symmetric(4))
-    quotients = [ctx.quotient_ctx(N)[0] for N in ctx.normal_subgroups()]
+    quotients = [ctx.quotient_ctx(N) for N in ctx.normal_subgroups()]
     assert [Q.group.order for Q in quotients] == [24, 6, 2, 1]
     for qctx in quotients:
         check_kernels(qctx)

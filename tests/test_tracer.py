@@ -11,7 +11,7 @@ from pathlib import Path
 
 from grouplab import theorems
 from grouplab.catalog import builtin_group
-from grouplab.context import GroupContext
+from grouplab.context import GroupContext, clear_contexts
 from grouplab.groups import Group, Homomorphism
 from grouplab.perms import Permutation
 
@@ -62,3 +62,17 @@ def test_tracer_wraps_and_restores_every_entry_point():
     calls = tracer.summary()["calls"]
     assert calls["theorems.verify_case"] == 1
     assert calls["quasinormal.s_permutable"] > 0
+
+
+def test_tracer_counts_the_hypercenter_preimages_of_a_scan():
+    """An F_s-quasinormality scan reads Z_inf^F(G/H_G) through the public
+    hypercenter_preimage, so the tracer's span for it counts calls."""
+    clear_contexts()   # no scan may be answered from an earlier test's memo
+    tracer_mod = _load_tracer()
+    G = builtin_group("symmetric(4)")
+    tracer = tracer_mod.Tracer({"symmetric(4)": (G.degree, G.order)})
+    with tracer:
+        tracer.begin_group("symmetric(4)")
+        theorems.verify_case(G, "L2.2.2", {"formation": "U"})
+        tracer.end_group("symmetric(4)", 0.0)
+    assert tracer.summary()["calls"]["formations.hypercenter_preimage"] > 0
