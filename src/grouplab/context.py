@@ -4,9 +4,13 @@ Everything downstream (lattice, structural predicates, formations,
 quasinormality, theorem encodings) works through a :class:`GroupContext`,
 which memoizes the expensive objects: element conjugacy classes, the normal
 subgroup list, the full subgroup lattice, Sylow classes, quotients and
-per-subgroup predicates.  Every such value lives in the context's one memo
-table, :meth:`GroupContext.memo`.  Contexts are created once per group and
-shared; all contained data is immutable after computation.
+per-subgroup predicates.  There is one memo mechanism, the :func:`memoized`
+decorator: it stores ``f(ctx, *args)`` in ctx under the function and the
+argument tuple.  It decorates GroupContext methods and the context-first
+functions of :mod:`~grouplab.structure`, :mod:`~grouplab.formations` and
+:mod:`~grouplab.quasinormal`; their public ``(G, ...)`` functions are doors
+that call them with ``context_of(G)``.  Contexts are created once per group
+and shared; all contained data is immutable after computation.
 
 Subgroups live in one registry per ambient group.  A root context, one made
 for a group that no registry produced, owns a registry that holds one
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import wraps
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional
 
 from .cayley import ElementIndex
 from .errors import NotASubgroupError, NotNormalError
@@ -40,7 +44,6 @@ from .groups import Group, require_subgroup
 from .perms import Permutation, identity
 from .primes import p_part, prime_divisors, require_prime
 
-T = TypeVar("T")
 _MISSING = object()
 
 _CONTEXTS: dict[tuple[int, frozenset], "GroupContext"] = {}
@@ -80,18 +83,19 @@ def subgroup_sort_key(H: Group) -> tuple:
     return (H.order, tuple(p.images for p in H.elements()))
 
 
-def _memoized(method):
-    """Memoize a GroupContext method: one without arguments in the "named"
-    table under its own name, one of a subgroup H in the table named after
-    the method under H.key."""
-    name = method.__name__
-
-    @wraps(method)
-    def wrapper(self, *args):
-        if not args:
-            return self.memo("named", name, method, self)
-        H, = args
-        return self.memo(name, H.key, method, self, H)
+def memoized(fn):
+    """Memoize fn(ctx, *args) in the context ctx: its table is fn, its key
+    the argument tuple.  Arguments are hashable and positional; a Group hashes
+    and compares by its degree and element set, so an equal subgroup object
+    is a hit.  The body runs only on a miss, and a stored False or None is a
+    hit."""
+    @wraps(fn)
+    def wrapper(ctx, *args):
+        entries = ctx._memo[fn]
+        value = entries.get(args, _MISSING)
+        if value is _MISSING:
+            value = entries[args] = fn(ctx, *args)
+        return value
 
     return wrapper
 
@@ -120,17 +124,8 @@ class GroupContext:
         # the bits outside this context's group, which no subgroup it is
         # asked about may have; none in a root, whose index is its group
         self._outside = 0 if root is None else ~self._located[G.key][0]
-        # table name -> key -> value; tables are created on first use
-        self._memo: defaultdict[str, dict] = defaultdict(dict)
-
-    def memo(self, table: str, key, compute: Callable[..., T], *args) -> T:
-        """The value under `key` in `table`, from `compute(*args)` on first
-        use.  A hit reads one table; compute is only called on a miss."""
-        entries = self._memo[table]
-        value = entries.get(key, _MISSING)
-        if value is _MISSING:
-            value = entries[key] = compute(*args)
-        return value
+        # memoized function -> argument tuple -> value
+        self._memo: defaultdict[Callable, dict] = defaultdict(dict)
 
     # ------------------------------------------------------------------
     # element positions and the subgroup registry
@@ -202,14 +197,17 @@ class GroupContext:
             _ROOTS.setdefault((H.degree, H.key), self._root or self)
         return H
 
+    def greedy_generators(self, H: Group) -> list[Permutation]:
+        """Each element of H, in image-tuple order, that the earlier ones do
+        not generate: the generators of every registry subgroup but a root."""
+        at = self._index.elements
+        return [at[i] for i in self._index.close(self.positions(H))[0]]
+
     def trivial_subgroup(self) -> Group:
         return self._group(1, [0])
 
+    @memoized
     def join(self, A: Group, B: Group) -> Group:
-        """<A, B>, closed once per pair."""
-        return self.memo("join", (A.key, B.key), self._close_join, A, B)
-
-    def _close_join(self, A: Group, B: Group) -> Group:
         """<A, B>: B's cosets extended by A's generators."""
         bmask, bpos = self._where(B)
         _, elems, mask = self._index.close(
@@ -249,15 +247,13 @@ class GroupContext:
     # ------------------------------------------------------------------
     # conjugation
 
+    @memoized
     def _conjugations(self) -> list[list[int]]:
         """The conjugation map of each generator of the group, on positions."""
-        return self.memo("named", "conjugations", self._conjugation_maps)
-
-    def _conjugation_maps(self) -> list[list[int]]:
         return [self._index.conjugation(g)
                 for g in self._at(self.group.generators)]
 
-    @_memoized
+    @memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """The classes of elements, each the orbit of its first element under
         the generators' conjugation maps, in order of that element."""
@@ -298,7 +294,7 @@ class GroupContext:
                         changed = True
         return self._group(mask, elems)
 
-    @_memoized
+    @memoized
     def normal_subgroups(self) -> tuple[Group, ...]:
         """All normal subgroups, sorted by (order, element key)."""
         index = self._index
@@ -348,7 +344,7 @@ class GroupContext:
     # ------------------------------------------------------------------
     # the full subgroup lattice
 
-    @_memoized
+    @memoized
     def all_subgroups(self) -> tuple[Group, ...]:
         """Every subgroup, sorted by (order, element key): on a root, the
         index's join closure of the cyclic subgroups."""
@@ -367,7 +363,7 @@ class GroupContext:
             _cache.store_lattice(self.group, subgroups)
         return subgroups
 
-    @_memoized
+    @memoized
     def subgroup_classes(self) -> tuple[tuple[Group, ...], ...]:
         """Conjugacy classes of subgroups, each in lattice order, ordered by
         their first members.  A class is the orbit of its first member's mask
@@ -397,17 +393,15 @@ class GroupContext:
             classes.append(tuple(subs[r] for r in sorted(map(rank.get, orbit))))
         return tuple(classes)
 
+    @memoized
     def _masked_lattice(self) -> list[tuple[Group, int]]:
-        return self.memo("named", "masked_lattice", self._mask_lattice)
-
-    def _mask_lattice(self) -> list[tuple[Group, int]]:
         return [(H, self.mask(H)) for H in self.all_subgroups()]
 
     def subgroups_of(self, K: Group) -> tuple[Group, ...]:
         kmask = self.mask(K)
         return tuple(H for H, m in self._masked_lattice() if not m & ~kmask)
 
-    @_memoized
+    @memoized
     def maximal_subgroups_of(self, K: Group) -> tuple[Group, ...]:
         """Maximal proper subgroups of K, read off the ambient lattice."""
         subs = [(H, self.mask(H)) for H in self.subgroups_of(K)
@@ -465,11 +459,11 @@ class GroupContext:
     # ------------------------------------------------------------------
     # named subgroups
 
-    @_memoized
+    @memoized
     def center(self) -> Group:
         return self.chief_centralizer(self.trivial_subgroup(), self.group)
 
-    @_memoized
+    @memoized
     def frattini(self) -> Group:
         maxima = self.maximal_subgroups_of(self.group)
         if not maxima:
@@ -481,20 +475,16 @@ class GroupContext:
 
     def O_p(self, p: int) -> Group:
         # a normal subgroup of order 1 counts as a p-group here
-        return self.memo("named", ("O_p", p), self._largest_normal,
-                         _is_power_of, p)
+        return self._largest_normal(_is_power_of, p)
 
     def O_pi_prime(self, pi) -> Group:
-        pi = frozenset(pi)
-        return self.memo("named", ("O_pi_prime", tuple(sorted(pi))),
-                         self._largest_normal, _is_pi_prime_number, pi)
+        return self._largest_normal(_is_pi_prime_number, frozenset(pi))
 
     def O_pi(self, pi) -> Group:
         """Largest normal pi-subgroup."""
-        pi = frozenset(pi)
-        return self.memo("named", ("O_pi", tuple(sorted(pi))),
-                         self._largest_normal, _is_pi_number, pi)
+        return self._largest_normal(_is_pi_number, frozenset(pi))
 
+    @memoized
     def _largest_normal(self, order_ok: Callable[[int, object], bool],
                         arg) -> Group:
         """The first largest normal subgroup N with order_ok(|N|, arg)."""
@@ -504,32 +494,23 @@ class GroupContext:
                 best = N
         return best
 
+    @memoized
     def O_upper_p(self, p: int) -> Group:
         """Smallest normal subgroup with p-group quotient: <all p'-elements>."""
-        return self.memo("named", ("O_upper_p", p), self._p_prime_generated, p)
-
-    def _p_prime_generated(self, p: int) -> Group:
         return self.generated([e for e in self.group.elements()
                                if e.order() % p != 0])
 
-    @_memoized
+    @memoized
     def fitting(self) -> Group:
         gens: list[Permutation] = []
         for p in self.primes():
             gens.extend(self.O_p(p).generators)
         return self.generated(gens) if gens else self.trivial_subgroup()
 
-    @_memoized
-    def socle(self) -> Group:
-        gens: list[Permutation] = []
-        for N in self.minimal_normal_subgroups():
-            gens.extend(N.generators)
-        return self.generated(gens) if gens else self.trivial_subgroup()
-
     # ------------------------------------------------------------------
     # core and subnormality
 
-    @_memoized
+    @memoized
     def core(self, H: Group) -> Group:
         """Largest subgroup of H normal in the ambient group."""
         require_subgroup(H, self.group)
@@ -540,7 +521,7 @@ class GroupContext:
                 best = N
         return best
 
-    @_memoized
+    @memoized
     def is_subnormal(self, H: Group) -> tuple[bool, int]:
         require_subgroup(H, self.group)
         K = self.group
@@ -556,15 +537,13 @@ class GroupContext:
     # ------------------------------------------------------------------
     # quotients
 
+    @memoized
     def coset_action(self, N: Group) -> tuple["GroupContext", list[int]]:
         """G/N acting on the right cosets of N, numbered by their smallest
         positions: the quotient's context, and q, where q[i] is the position
         in that context's index of the image of the element at position i
         (-1 off G).  Raises NotNormalError unless N is a normal subgroup of
         G."""
-        return self.memo("coset_action", N.key, self._act_on_cosets, N)
-
-    def _act_on_cosets(self, N: Group):
         if not self.is_normal(N):
             raise NotNormalError("N is not a normal subgroup of G")
         label = self._coset_labels(N)
@@ -611,7 +590,7 @@ class GroupContext:
     # ------------------------------------------------------------------
     # chief factors
 
-    @_memoized
+    @memoized
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""
@@ -645,16 +624,13 @@ class GroupContext:
                             orbit.append(z)
         return label
 
+    @memoized
     def chief_centralizer(self, lower: Group, upper: Group) -> Group:
         """C_G(upper/lower): the elements g of G whose commutator with every
         element of upper lies in lower.  For lower = 1 this is C_G(upper);
         for upper = G, the preimage of Z(G/lower).  Lower must be normal in G:
         then [g, h] lies in lower exactly when lower h g = lower g h, and the
         generators h of upper suffice."""
-        return self.memo("chief_centralizer", (lower.key, upper.key),
-                         self._centralize, lower, upper)
-
-    def _centralize(self, lower: Group, upper: Group) -> Group:
         if not self.is_normal(lower):
             raise NotNormalError("lower is not a normal subgroup of G")
         label = self._coset_labels(lower)

@@ -9,17 +9,11 @@ F-hypercenter and the F-residual.
 
 from __future__ import annotations
 
-from .context import GroupContext, context_of, subgroup_sort_key
+from .context import GroupContext, context_of, memoized, subgroup_sort_key
 from .errors import BoundExceededError, NotNormalError
 from .groups import Group, MAX_DEGREE, MAX_ORDER, quotient, semidirect_product
 from .primes import is_prime, prime_divisors
-from .structure import (
-    ChiefFactor,
-    is_nilpotent,
-    is_soluble,
-    is_supersoluble,
-    series,
-)
+from .structure import ChiefFactor, holds, series_of
 
 __all__ = [
     "FORMATIONS",
@@ -34,31 +28,23 @@ __all__ = [
 
 FORMATIONS = ("N", "U", "S")
 
+# formation -> the structure predicate of its membership
 _MEMBERSHIP = {
-    "N": is_nilpotent,
-    "U": is_supersoluble,
-    "S": is_soluble,
+    "N": "nilpotent",
+    "U": "supersoluble",
+    "S": "soluble",
 }
 
 
 def in_formation(G: Group, formation: str) -> bool:
+    return member(context_of(G), formation)
+
+
+def member(ctx: GroupContext, formation: str) -> bool:
+    """Whether ctx's group lies in the formation."""
     if formation not in _MEMBERSHIP:
         raise ValueError(f"unknown formation: {formation!r}")
-    return _MEMBERSHIP[formation](G)
-
-
-def _derived_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    return ctx.memo("named", "derived_series", _series_chain, ctx.group,
-                    "derived")
-
-
-def _lower_central_terms(ctx: GroupContext) -> tuple[Group, ...]:
-    return ctx.memo("named", "lower_central_series", _series_chain,
-                    ctx.group, "lower_central")
-
-
-def _series_chain(G: Group, kind: str) -> tuple[Group, ...]:
-    return series(G, kind).chain
+    return holds(ctx, _MEMBERSHIP[formation])
 
 
 def _factor_abelian(lower: Group, upper: Group) -> bool:
@@ -68,17 +54,21 @@ def _factor_abelian(lower: Group, upper: Group) -> bool:
 
 
 def is_f_central(G: Group, cf: ChiefFactor, formation: str) -> bool:
-    """Whether the chief factor is F-central, by the fast characterization.
+    return f_central(context_of(G), cf, formation)
+
+
+def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
+    """Whether the chief factor of ctx's group is F-central, by the fast
+    characterization.
 
     N: the factor is a p-group centralized by all of G.  U: the factor has
     prime order.  S: the factor is abelian and G modulo its centralizer is
     soluble.  Agreement with the explicit semidirect construction is checked
     by is_f_central_generic wherever that construction fits desk bounds.
     """
-    ctx = context_of(G)
     forder = cf.order
     if formation == "N":
-        return (cf.centralizer.order == G.order
+        return (cf.centralizer.order == ctx.group.order
                 and len(prime_divisors(forder)) == 1)
     if formation == "U":
         return is_prime(forder)
@@ -86,7 +76,8 @@ def is_f_central(G: Group, cf: ChiefFactor, formation: str) -> bool:
         if not _factor_abelian(cf.lower, cf.upper):
             return False
         cset = cf.centralizer.element_set()
-        return any(term.element_set() <= cset for term in _derived_terms(ctx))
+        return any(term.element_set() <= cset
+                   for term in series_of(ctx, "derived").chain)
     raise ValueError(f"unknown formation: {formation!r}")
 
 
@@ -125,27 +116,27 @@ def is_f_central_generic(G: Group, cf: ChiefFactor, formation: str) -> bool:
 
 def f_hypercenter(G: Group, formation: str) -> Group:
     """Z_inf^F(G): the hypercenter preimage for N = 1."""
-    return hypercenter_preimage(G, context_of(G).trivial_subgroup(), formation)
+    ctx = context_of(G)
+    return hypercenter(ctx, ctx.trivial_subgroup(), formation)
 
 
 def hypercenter_preimage(G: Group, N: Group, formation: str) -> Group:
-    """The preimage in G of Z_inf^F(G/N), for normal N: the ascent from N.
+    """The preimage in G of Z_inf^F(G/N), for normal N."""
+    return hypercenter(context_of(G), N, formation)
 
-    The chief factors of G above N are those of G/N, with the same orders,
-    and their centralizers are the preimages of those of G/N, so each one is
-    F-central in G exactly when its image is F-central in G/N.
+
+@memoized
+def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
+    """The preimage in G of Z_inf^F(G/Z), for normal Z: the largest normal
+    subgroup above Z reached through F-central chief factors, adding every
+    F-central one above the current term at once.
+
+    The chief factors of G above Z are those of G/Z, with the same orders,
+    and their centralizers are the preimages of those of G/Z, so each one is
+    F-central in G exactly when its image is F-central in G/Z.
     """
-    ctx = context_of(G)
-    return ctx.memo("hypercenter", (N.key, formation), _hypercenter_ascent,
-                    ctx, N, formation)
-
-
-def _hypercenter_ascent(ctx: GroupContext, Z: Group, formation: str) -> Group:
-    """The largest normal subgroup above Z reached through F-central chief
-    factors, adding every F-central one above the current term at once."""
     if not ctx.is_normal(Z):
         raise NotNormalError("N is not a normal subgroup of G")
-    G = ctx.group
     pairs = ctx.chief_pairs()
     while True:
         gens = list(Z.generators)
@@ -156,7 +147,7 @@ def _hypercenter_ascent(ctx: GroupContext, Z: Group, formation: str) -> Group:
             cf = ChiefFactor(upper=M, lower=Z,
                              centralizer=ctx.chief_centralizer(Z, M),
                              order=M.order // Z.order)
-            if is_f_central(G, cf, formation):
+            if f_central(ctx, cf, formation):
                 gens.extend(M.generators)
                 grew = True
         if not grew:
@@ -166,11 +157,11 @@ def _hypercenter_ascent(ctx: GroupContext, Z: Group, formation: str) -> Group:
 
 def f_residual(G: Group, formation: str) -> Group:
     """G^F: the smallest normal subgroup with quotient in F (exhaustive scan)."""
-    ctx = context_of(G)
-    return ctx.memo("residual", formation, _residual_scan, ctx, formation)
+    return residual(context_of(G), formation)
 
 
-def _residual_scan(ctx: GroupContext, formation: str) -> Group:
+@memoized
+def residual(ctx: GroupContext, formation: str) -> Group:
     qualifying = [N for N in ctx.normal_subgroups()
                   if quotient_in_formation(ctx, N, formation)]
     best = min(qualifying, key=subgroup_sort_key)
@@ -184,9 +175,11 @@ def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
     """G/N in F, without constructing the quotient group."""
     nset = N.element_set()
     if formation == "S":
-        return any(t.element_set() <= nset for t in _derived_terms(ctx))
+        return any(t.element_set() <= nset
+                   for t in series_of(ctx, "derived").chain)
     if formation == "N":
-        return any(t.element_set() <= nset for t in _lower_central_terms(ctx))
+        return any(t.element_set() <= nset
+                   for t in series_of(ctx, "lower_central").chain)
     if formation == "U":
         return all(is_prime(upper.order // lower.order)
                    for lower, upper in ctx.chief_pairs()

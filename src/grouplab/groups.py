@@ -31,7 +31,6 @@ __all__ = [
     "Homomorphism",
     "SetProductResult",
     "QuotientResult",
-    "trivial_group",
     "set_product",
     "quotient",
     "direct_product",
@@ -112,10 +111,6 @@ class Group:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
         return f"Group(degree={self.degree}, order={self.order}, gens=[{gens}])"
-
-
-def trivial_group(degree: int = 1) -> Group:
-    return Group(degree, [], _skip_degree_check=True)
 
 
 def from_elements(degree: int, elements: Iterable[Permutation]) -> Group:

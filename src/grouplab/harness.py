@@ -68,10 +68,11 @@ def _case_dict(r) -> dict:
 def _run_group(job: _Job) -> dict:
     """Worker: evaluate every requested theorem for one group.
 
-    The context registry is cleared first so results (in particular the
-    generator strings appearing in witnesses) never depend on which groups
-    this process evaluated earlier — that is what makes reports
-    byte-identical across worker counts and catalog orderings.
+    The context registry is cleared first, so a worker holds one group's
+    contexts at a time.  Results do not depend on it: a witness prints
+    generators that depend only on itself and the group, so reports are
+    byte-identical across worker counts, catalog orderings and whatever
+    this process evaluated earlier.
     """
     clear_contexts()
     G = Group(job.degree, [from_cycles(t, job.degree) for t in job.gens])

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import context_of
-from .formations import hypercenter_preimage, in_formation
+from .context import GroupContext, context_of, memoized
+from .formations import FORMATIONS, hypercenter, member
 from .groups import Group, require_subgroup
-from .structure import is_p_nilpotent
+from .structure import holds
 
 __all__ = [
     "Verdict",
@@ -41,21 +41,40 @@ class Verdict:
 
 
 def is_s_permutable(G: Group, H: Group) -> Verdict:
-    """HP = PH for every Sylow subgroup P of G.
+    """HP = PH for every Sylow subgroup P of G."""
+    return s_permutable(context_of(G), H)
+
+
+def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
+    """Some normal T has H*T s-permutable and (H n T)H_G/H_G inside
+    Z_inf^F(G/H_G)."""
+    return fs_quasinormal(context_of(G), H, formation, False)
+
+
+def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
+    """Equivalent phrasing: T restricted to normal subgroups containing H_G,
+    containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
+    return fs_quasinormal(context_of(G), H, formation, True)
+
+
+def has_f_supplement(G: Group, H: Group, kind: str,
+                     p: Optional[int] = None) -> Verdict:
+    """Some T <= G with G = HT and T in the given class (U or p-nilpotent)."""
+    return f_supplement(context_of(G), H, kind, p)
+
+
+# Each scan validates H on a memo miss only: a hit is an equal subgroup,
+# validated against this ambient before.
+
+
+@memoized
+def s_permutable(ctx: GroupContext, H: Group) -> Verdict:
+    """HP = PH for every Sylow subgroup P of ctx's group.
 
     Only one Sylow class per prime plus all its conjugates is scanned, which
     is all Sylow p-subgroups.  The failure witness is the first non-permuting
     Sylow subgroup in deterministic order.
     """
-    ctx = context_of(G)
-    return ctx.memo("sperm", H.key, _s_permutable_uncached, ctx, H)
-
-
-# Each predicate validates H on a memo miss only: a hit under H.key is the
-# very element set that was validated against this ambient before.
-
-
-def _s_permutable_uncached(ctx, H: Group) -> Verdict:
     require_subgroup(H, ctx.group)
     if ctx.is_normal(H):
         return Verdict(True, detail="normal subgroup")
@@ -70,24 +89,12 @@ def _s_permutable_uncached(ctx, H: Group) -> Verdict:
     return Verdict(True)
 
 
-def is_fs_quasinormal(G: Group, H: Group, formation: str) -> Verdict:
-    """Some normal T has H*T s-permutable and (H n T)H_G/H_G inside
-    Z_inf^F(G/H_G).  Exhaustive scan over normal subgroups in deterministic
-    (ascending) order; the witness is the smallest qualifying T."""
-    ctx = context_of(G)
-    return ctx.memo("fsq", (H.key, formation), _fsq_scan, ctx, H, formation,
-                    False)
-
-
-def is_fs_quasinormal_variant(G: Group, H: Group, formation: str) -> Verdict:
-    """Equivalent phrasing: T restricted to normal subgroups containing H_G,
-    containment stated as H/H_G n T/H_G inside Z_inf^F(G/H_G)."""
-    ctx = context_of(G)
-    return ctx.memo("fsq_variant", (H.key, formation), _fsq_scan, ctx, H,
-                    formation, True)
-
-
-def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict:
+@memoized
+def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
+                   variant: bool) -> Verdict:
+    """Whether H is F_s-quasinormal in ctx's group, by an exhaustive scan over
+    normal subgroups T in deterministic (ascending) order; the witness is the
+    smallest qualifying T.  The variant only scans T containing H_G."""
     require_subgroup(H, ctx.group)
     core = ctx.core(H)
     hmask = ctx.mask(H)
@@ -96,44 +103,38 @@ def _fsq_scan(ctx, H: Group, formation: str, require_core_in_t: bool) -> Verdict
     wmask = None
     for T in ctx.normal_subgroups():
         tmask = ctx.mask(T)
-        if require_core_in_t and cmask & ~tmask:
+        if variant and cmask & ~tmask:
             continue
         inter = hmask & tmask
         if inter & (inter - 1):  # the identity always maps into the hypercenter
             if wmask is None:
-                wmask = ctx.mask(hypercenter_preimage(ctx.group, core,
-                                                       formation))
+                wmask = ctx.mask(hypercenter(ctx, core, formation))
             if inter & ~wmask:
                 continue
-        if is_s_permutable(ctx.group, ctx.join(H, T)).holds:
+        if s_permutable(ctx, ctx.join(H, T)).holds:
             return Verdict(True, witness=T, witness_kind="normal_T",
                            detail=_HT_NOTE)
     return Verdict(False, detail=_HT_NOTE)
 
 
 def _class_predicate(kind: str, p: Optional[int]):
-    if kind in ("N", "U", "S"):
-        return lambda T: in_formation(T, kind)
+    if kind in FORMATIONS:
+        return lambda tctx: member(tctx, kind)
     if kind == "p_nilpotent":
         if p is None:
             raise ValueError("p_nilpotent supplement class requires a prime p")
-        return lambda T: is_p_nilpotent(T, p)
+        return lambda tctx: holds(tctx, "p_nilpotent", p)
     raise ValueError(f"unknown supplement class: {kind!r}")
 
 
-def has_f_supplement(G: Group, H: Group, kind: str,
-                     p: Optional[int] = None) -> Verdict:
-    """Some T <= G with G = HT and T in the given class (U or p-nilpotent).
+@memoized
+def f_supplement(ctx: GroupContext, H: Group, kind: str,
+                 p: Optional[int]) -> Verdict:
+    """Some T with G = HT and T in the class, for G ctx's group.
 
     Every conjugate of every subgroup class is scanned (G = HT is not
     conjugation-invariant in T for fixed H), pruned by |H|*|T| >= |G|.
     """
-    ctx = context_of(G)
-    return ctx.memo("supplement", (H.key, kind, p), _supplement_scan, ctx, H,
-                    kind, p)
-
-
-def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:
     G = ctx.group
     require_subgroup(H, G)
     pred = _class_predicate(kind, p)
@@ -142,7 +143,7 @@ def _supplement_scan(ctx, H: Group, kind: str, p: Optional[int]) -> Verdict:
         if H.order * rep.order < G.order:
             continue
         # the class predicate is isomorphism-invariant: decide it once
-        if not pred(rep):
+        if not pred(context_of(rep)):
             continue
         for T in cls:
             if ctx.product_size(H, T) == G.order:

@@ -1,13 +1,18 @@
 """Structural series and predicates: derived/central/chief series, solubility,
 supersolubility, nilpotency, p-nilpotency, simplicity, quasisimplicity,
-components and the layer."""
+components and the layer.
+
+Each is computed and memoized on a context: ``holds(ctx, name, p)`` decides
+the named predicate, and ``series_of``, ``components_of``, ``layer_of`` and
+``generalized_fitting_of`` take the context too.  The ``(G, ...)`` functions
+are doors that call them with ``context_of(G)``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import GroupContext, context_of
+from .context import GroupContext, context_of, memoized
 from .groups import Group
 from .perms import Permutation
 from .primes import is_prime, p_part, require_prime
@@ -54,32 +59,12 @@ def _commutator_subgroup(ctx: GroupContext, A: Group, B: Group) -> Group:
 
 def series(G: Group, kind: str) -> Series:
     """derived | lower_central | upper_central | chief."""
-    ctx = context_of(G)
-    if kind == "derived":
-        chain = [G]
-        while True:
-            nxt = derived_subgroup(ctx, chain[-1])
-            if nxt.order == chain[-1].order:
-                break
-            chain.append(nxt)
-        return Series("derived", tuple(chain))
-    if kind == "lower_central":
-        chain = [G]
-        while True:
-            nxt = _commutator_subgroup(ctx, G, chain[-1])
-            if nxt.order == chain[-1].order:
-                break
-            chain.append(nxt)
-        return Series("lower_central", tuple(chain))
-    if kind == "upper_central":
-        chain = [ctx.trivial_subgroup()]
-        while True:
-            # the preimage of Z(G/term), term normal
-            nxt = ctx.chief_centralizer(chain[-1], G)
-            if nxt.order == chain[-1].order:
-                break
-            chain.append(nxt)
-        return Series("upper_central", tuple(chain))
+    return series_of(context_of(G), kind)
+
+
+@memoized
+def series_of(ctx: GroupContext, kind: str) -> Series:
+    G = ctx.group
     if kind == "chief":
         chain = [ctx.trivial_subgroup()]
         pairs = ctx.chief_pairs()
@@ -89,7 +74,20 @@ def series(G: Group, kind: str) -> Series:
             chain.append(next(upper for lower, upper in pairs
                               if lower.key == key))
         return Series("chief", tuple(chain))
-    raise ValueError(f"unknown series kind: {kind!r}")
+    steps = {
+        "derived": lambda K: derived_subgroup(ctx, K),
+        "lower_central": lambda K: _commutator_subgroup(ctx, G, K),
+        # the preimage of Z(G/K), K normal
+        "upper_central": lambda K: ctx.chief_centralizer(K, G),
+    }
+    if kind not in steps:
+        raise ValueError(f"unknown series kind: {kind!r}")
+    chain = [ctx.trivial_subgroup() if kind == "upper_central" else G]
+    while True:
+        nxt = steps[kind](chain[-1])
+        if nxt.order == chain[-1].order:
+            return Series(kind, tuple(chain))
+        chain.append(nxt)
 
 
 def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
@@ -107,122 +105,108 @@ def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
 
 
 # ----------------------------------------------------------------------
-# predicates
+# predicates: _PREDICATES maps each name to its check(ctx, p), which holds
+# calls and stores
 
 
-def is_abelian(G: Group) -> bool:
-    gens = G.generators
-    return all(a * b == b * a for a in gens for b in gens)
-
-
-def is_cyclic(G: Group) -> bool:
-    n = G.order
-    return any(e.order() == n for e in G.elements())
-
-
-def is_p_group(G: Group, p: int) -> bool:
+def _p_group(ctx: GroupContext, p: int) -> bool:
     require_prime(p)
-    return p_part(G.order, p) == G.order
-
-
-def is_soluble(G: Group) -> bool:
-    return context_of(G).memo("pred", "soluble", _soluble, G)
-
-
-def _soluble(G: Group) -> bool:
-    return is_abelian(G) or series(G, "derived").chain[-1].order == 1
-
-
-def is_perfect(G: Group) -> bool:
-    ctx = context_of(G)
-    return ctx.memo("pred", "perfect", _perfect, ctx)
-
-
-def _perfect(ctx: GroupContext) -> bool:
-    return derived_subgroup(ctx, ctx.group).order == ctx.group.order
-
-
-def is_nilpotent(G: Group) -> bool:
-    """Every Sylow subgroup normal, tested via |O_p| = p-part for each p."""
-    ctx = context_of(G)
-    return ctx.memo("pred", "nilpotent", _nilpotent, ctx)
-
-
-def _nilpotent(ctx: GroupContext) -> bool:
-    G = ctx.group
-    if is_abelian(G):
-        return True
-    return all(ctx.O_p(p).order == p_part(G.order, p) for p in ctx.primes())
-
-
-def is_supersoluble(G: Group) -> bool:
-    """Every chief factor of prime order."""
-    ctx = context_of(G)
-    return ctx.memo("pred", "supersoluble", _supersoluble, ctx)
-
-
-def _supersoluble(ctx: GroupContext) -> bool:
-    if is_abelian(ctx.group):
-        return True
-    return all(is_prime(upper.order // lower.order)
-               for lower, upper in ctx.chief_pairs())
-
-
-def is_p_nilpotent(G: Group, p: int) -> bool:
-    """A normal p-complement exists, tested as |O_{p'}(G)| = |G| / p-part."""
-    require_prime(p)
-    ctx = context_of(G)
-    return ctx.memo("pred", ("p_nilpotent", p), _p_nilpotent, ctx, p)
+    return p_part(ctx.group.order, p) == ctx.group.order
 
 
 def _p_nilpotent(ctx: GroupContext, p: int) -> bool:
+    """A normal p-complement exists, tested as |O_{p'}(G)| = |G| / p-part."""
+    require_prime(p)
     order = ctx.group.order
     return ctx.O_pi_prime({p}).order == order // p_part(order, p)
 
 
-def is_simple(G: Group) -> bool:
-    ctx = context_of(G)
-    return ctx.memo("pred", "simple", _simple, ctx)
+_PREDICATES = {
+    "abelian": lambda ctx, p: all(a * b == b * a for a in ctx.group.generators
+                                  for b in ctx.group.generators),
+    "cyclic": lambda ctx, p: any(e.order() == ctx.group.order
+                                 for e in ctx.group.elements()),
+    # every Sylow subgroup normal, tested via |O_q| = q-part for each q
+    "nilpotent": lambda ctx, p: holds(ctx, "abelian") or all(
+        ctx.O_p(q).order == p_part(ctx.group.order, q) for q in ctx.primes()),
+    "soluble": lambda ctx, p: (holds(ctx, "abelian")
+                               or series_of(ctx, "derived").chain[-1].order == 1),
+    # every chief factor of prime order
+    "supersoluble": lambda ctx, p: holds(ctx, "abelian") or all(
+        is_prime(upper.order // lower.order)
+        for lower, upper in ctx.chief_pairs()),
+    "perfect": lambda ctx, p: (derived_subgroup(ctx, ctx.group).order
+                               == ctx.group.order),
+    "simple": lambda ctx, p: (ctx.group.order > 1
+                              and len(ctx.normal_subgroups()) == 2),
+    "quasisimple": lambda ctx, p: (
+        holds(ctx, "perfect") and ctx.group.order > 1
+        and holds(ctx.quotient_ctx(ctx.center()), "simple")),
+    "quasinilpotent": lambda ctx, p: (generalized_fitting_of(ctx).order
+                                      == ctx.group.order),
+    "p_group": _p_group,
+    "p_nilpotent": _p_nilpotent,
+}
 
 
-def _simple(ctx: GroupContext) -> bool:
-    return ctx.group.order > 1 and len(ctx.normal_subgroups()) == 2
-
-
-def is_quasisimple(G: Group) -> bool:
-    ctx = context_of(G)
-    return ctx.memo("pred", "quasisimple", _quasisimple, ctx)
-
-
-def _quasisimple(ctx: GroupContext) -> bool:
-    if not is_perfect(ctx.group) or ctx.group.order == 1:
-        return False
-    return is_simple(ctx.quotient_ctx(ctx.center()).group)
-
-
-def is_quasinilpotent(G: Group) -> bool:
-    return generalized_fitting(G).order == G.order
+@memoized
+def holds(ctx: GroupContext, name: str, p: Optional[int] = None) -> bool:
+    """Whether ctx's group has the named property; p is the prime of
+    p_group and p_nilpotent."""
+    check = _PREDICATES.get(name)
+    if check is None:
+        raise ValueError(f"unknown predicate: {name!r}")
+    return check(ctx, p)
 
 
 def predicate(G: Group, prop: str, p: Optional[int] = None) -> bool:
     """abelian | cyclic | nilpotent | soluble | supersoluble | p_group |
     p_nilpotent | perfect | simple | quasisimple | quasinilpotent."""
-    table = {
-        "abelian": lambda: is_abelian(G),
-        "cyclic": lambda: is_cyclic(G),
-        "nilpotent": lambda: is_nilpotent(G),
-        "soluble": lambda: is_soluble(G),
-        "supersoluble": lambda: is_supersoluble(G),
-        "perfect": lambda: is_perfect(G),
-        "simple": lambda: is_simple(G),
-        "quasisimple": lambda: is_quasisimple(G),
-        "quasinilpotent": lambda: is_quasinilpotent(G),
-        "p_group": lambda: is_p_group(G, p),
-        "p_nilpotent": lambda: is_p_nilpotent(G, p),
-    }
-    if prop not in table:
-        raise ValueError(f"unknown predicate: {prop!r}")
-    return table[prop]()
+    return holds(context_of(G), prop, p)
+
+
+def is_abelian(G: Group) -> bool:
+    return holds(context_of(G), "abelian")
+
+
+def is_cyclic(G: Group) -> bool:
+    return holds(context_of(G), "cyclic")
+
+
+def is_p_group(G: Group, p: int) -> bool:
+    return holds(context_of(G), "p_group", p)
+
+
+def is_soluble(G: Group) -> bool:
+    return holds(context_of(G), "soluble")
+
+
+def is_perfect(G: Group) -> bool:
+    return holds(context_of(G), "perfect")
+
+
+def is_nilpotent(G: Group) -> bool:
+    return holds(context_of(G), "nilpotent")
+
+
+def is_supersoluble(G: Group) -> bool:
+    return holds(context_of(G), "supersoluble")
+
+
+def is_p_nilpotent(G: Group, p: int) -> bool:
+    return holds(context_of(G), "p_nilpotent", p)
+
+
+def is_simple(G: Group) -> bool:
+    return holds(context_of(G), "simple")
+
+
+def is_quasisimple(G: Group) -> bool:
+    return holds(context_of(G), "quasisimple")
+
+
+def is_quasinilpotent(G: Group) -> bool:
+    return holds(context_of(G), "quasinilpotent")
 
 
 # ----------------------------------------------------------------------
@@ -230,43 +214,44 @@ def predicate(G: Group, prop: str, p: Optional[int] = None) -> bool:
 
 def components(G: Group) -> tuple[Group, ...]:
     """All subnormal quasisimple subgroups."""
-    ctx = context_of(G)
-    return ctx.memo("named", "components", _components, ctx)
+    return components_of(context_of(G))
 
 
-def _components(ctx: GroupContext) -> tuple[Group, ...]:
-    if is_soluble(ctx.group):
+@memoized
+def components_of(ctx: GroupContext) -> tuple[Group, ...]:
+    if holds(ctx, "soluble"):
         return ()
     out = []
     for H in ctx.all_subgroups():
-        if H.order < 60 or is_abelian(H):
+        if H.order < 60:
             continue
-        if not ctx.is_subnormal(H)[0]:
+        hctx = context_of(H)
+        if holds(hctx, "abelian") or not ctx.is_subnormal(H)[0]:
             continue
-        if is_quasisimple(H):
+        if holds(hctx, "quasisimple"):
             out.append(H)
     return tuple(out)
 
 
 def layer(G: Group) -> Group:
     """E(G): the subgroup generated by all components."""
-    ctx = context_of(G)
-    return ctx.memo("named", "layer", _layer, ctx)
+    return layer_of(context_of(G))
 
 
-def _layer(ctx: GroupContext) -> Group:
+@memoized
+def layer_of(ctx: GroupContext) -> Group:
     gens: list[Permutation] = []
-    for C in components(ctx.group):
+    for C in components_of(ctx):
         gens.extend(C.generators)
     return ctx.generated(gens) if gens else ctx.trivial_subgroup()
 
 
 def generalized_fitting(G: Group) -> Group:
     """F*(G) = F(G) E(G)."""
-    ctx = context_of(G)
-    return ctx.memo("named", "generalized_fitting", _generalized_fitting, ctx)
+    return generalized_fitting_of(context_of(G))
 
 
-def _generalized_fitting(ctx: GroupContext) -> Group:
-    gens = list(ctx.fitting().generators) + list(layer(ctx.group).generators)
+@memoized
+def generalized_fitting_of(ctx: GroupContext) -> Group:
+    gens = list(ctx.fitting().generators) + list(layer_of(ctx).generators)
     return ctx.generated(gens) if gens else ctx.trivial_subgroup()

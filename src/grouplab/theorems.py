@@ -3,7 +3,7 @@ group.
 
 Each theorem id maps to a parameter enumerator and an encoder, a generator
 called as ``encoder(ctx, params, wit)`` that appends its witness dicts to
-``wit``.  An implication encoder yields the conclusion of each instance
+``wit``; verify_case prints each Group in them as its generators.  An implication encoder yields the conclusion of each instance
 whose hypothesis holds, evaluated only there: the case is vacuous when
 nothing is yielded and fails when a yielded conclusion is false.  An
 equivalence encoder yields ``(lhs, rhs)`` pairs: the case fails when some
@@ -19,25 +19,20 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional
 
 from .context import GroupContext, context_of
-from .formations import FORMATIONS, in_formation, quotient_in_formation
+from .formations import FORMATIONS, member, quotient_in_formation
 from .groups import Group, set_product
 from .perms import to_cycles
 from .primes import is_prime, p_part, prime_divisors
-from .quasinormal import (
-    has_f_supplement,
-    is_fs_quasinormal,
-    is_fs_quasinormal_variant,
-    is_s_permutable,
-)
+from .quasinormal import f_supplement, fs_quasinormal, s_permutable
 from .structure import (
     generalized_fitting,
+    generalized_fitting_of,
+    holds,
     is_cyclic,
     is_nilpotent,
-    is_p_nilpotent,
     is_simple,
     is_soluble,
-    is_supersoluble,
-    layer,
+    layer_of,
 )
 
 __all__ = ["THEOREM_IDS", "CaseResult", "verify_case", "params_for"]
@@ -78,9 +73,13 @@ class CaseResult:
 # shared helpers
 
 
-def _gens_json(H: Group) -> dict:
+def _gens_json(ctx: GroupContext, G: Group, H: Group) -> dict:
+    """H's order and generators.  These depend only on H and on G, the group
+    passed to verify_case, whose context is ctx: G's own generators for
+    H = G, otherwise the greedy generators of H's sorted element set."""
+    gens = G.generators if H == G else ctx.greedy_generators(H)
     return {"order": H.order,
-            "generators": [to_cycles(g) for g in H.generators] or ["()"]}
+            "generators": [to_cycles(g) for g in gens] or ["()"]}
 
 
 def _class_reps(ctx: GroupContext) -> Iterator[Group]:
@@ -92,11 +91,11 @@ def _class_reps(ctx: GroupContext) -> Iterator[Group]:
 
 
 def _sperm(ctx: GroupContext, H: Group, params=None) -> bool:
-    return is_s_permutable(ctx.group, H).holds
+    return s_permutable(ctx, H).holds
 
 
 def _fsq(ctx: GroupContext, H: Group, F: str) -> bool:
-    return is_fs_quasinormal(ctx.group, H, F).holds
+    return fs_quasinormal(ctx, H, F, False).holds
 
 
 def _fsq_of(ctx: GroupContext, H: Group, params: dict) -> bool:
@@ -104,8 +103,7 @@ def _fsq_of(ctx: GroupContext, H: Group, params: dict) -> bool:
 
 
 def _supplement(ctx: GroupContext, H: Group, params: dict) -> bool:
-    return has_f_supplement(ctx.group, H, params["class"],
-                            params.get("p")).holds
+    return f_supplement(ctx, H, params["class"], params.get("p")).holds
 
 
 def _sperm_subgroups(ctx: GroupContext) -> tuple[Group, ...]:
@@ -183,7 +181,7 @@ def _maximals_condition(ctx: GroupContext, target: Group, only_noncyclic: bool,
 def _n_maximals_embedded(ctx: GroupContext, P: Group, p: int, n: int) -> bool:
     """Every n-maximal subgroup of P has a p-nilpotent supplement or is
     U_s-quasinormal in G."""
-    return all(has_f_supplement(ctx.group, M, "p_nilpotent", p).holds
+    return all(f_supplement(ctx, M, "p_nilpotent", p).holds
                or _fsq(ctx, M, "U")
                for M in ctx.n_maximal_subgroups_of(P, n))
 
@@ -203,7 +201,7 @@ def _fstar_images(ctx: GroupContext, N: Group,
                   fs_g: Group) -> tuple[Group, Group]:
     """The image of F*(G) = fs_g in G/N, and F*(G/N)."""
     return (ctx.quotient_image(N, fs_g),
-            generalized_fitting(ctx.quotient_ctx(N).group))
+            generalized_fitting_of(ctx.quotient_ctx(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def _fstar_images(ctx: GroupContext, N: Group,
 
 
 def _recheck_fsq(ctx: GroupContext, H: Group, F: str, expected: bool) -> bool:
-    return is_fs_quasinormal_variant(ctx.group, H, F).holds == expected
+    return fs_quasinormal(ctx, H, F, True).holds == expected
 
 
 def _recheck_supplement(ctx: GroupContext, H: Group, T: Group) -> bool:
@@ -220,8 +218,7 @@ def _recheck_supplement(ctx: GroupContext, H: Group, T: Group) -> bool:
 
 def _recheck_failed(check: str, H: Group) -> dict:
     """Witness of a failed recheck; verify_case turns it into a fail."""
-    return {"kind": "recheck_failed", "check": check,
-            "subgroup": _gens_json(H)}
+    return {"kind": "recheck_failed", "check": check, "subgroup": H}
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +276,11 @@ def _enc_l21e(ctx, params, wit):
 def _enc_l221(ctx, params, wit):
     F = params["formation"]
     for H in _class_reps(ctx):
-        a = is_fs_quasinormal(ctx.group, H, F).holds
-        b = is_fs_quasinormal_variant(ctx.group, H, F).holds
+        a = fs_quasinormal(ctx, H, F, False).holds
+        b = fs_quasinormal(ctx, H, F, True).holds
         if a != b:
             wit.append({"kind": "variant_disagreement", "formation": F,
-                        "subgroup": _gens_json(H)})
+                        "subgroup": H})
         yield a, b
 
 
@@ -298,7 +295,7 @@ def _enc_l223(ctx, params, wit):
 
 def _enc_l226(ctx, params, wit):
     F = params["formation"]
-    if in_formation(ctx.group, F):
+    if member(ctx, F):
         for H in _class_reps(ctx):
             yield _fsq(ctx, H, F)
 
@@ -341,7 +338,7 @@ def _enc_l26(ctx, params, wit):
     F = params["formation"]
     for E in ctx.normal_subgroups():
         if is_cyclic(E) and quotient_in_formation(ctx, E, F):
-            yield in_formation(ctx.group, F)
+            yield member(ctx, F)
 
 
 def _enc_l271(ctx, params, wit):
@@ -354,7 +351,7 @@ def _enc_l271(ctx, params, wit):
 
 def _enc_l28(ctx, params, wit):
     F = params["formation"]
-    yield in_formation(ctx.group, F), any(
+    yield member(ctx, F), any(
         quotient_in_formation(ctx, E, F)
         and _maximals_condition(ctx, E, only_noncyclic=True,
                                 allow_supplement=True)
@@ -363,7 +360,7 @@ def _enc_l28(ctx, params, wit):
 
 def _enc_l29(ctx, params, wit):
     F = params["formation"]
-    yield in_formation(ctx.group, F), any(
+    yield member(ctx, F), any(
         is_soluble(E) and quotient_in_formation(ctx, E, F)
         and _maximals_condition(ctx, context_of(E).fitting(),
                                 only_noncyclic=True, allow_supplement=True)
@@ -384,17 +381,17 @@ def _enc_l211(ctx, params, wit):
     for p in ctx.primes():
         for n in range(1, 5):
             if order % p ** (n + 1) != 0 and _gcd_tower(order, p, n):
-                yield is_p_nilpotent(ctx.group, p)
+                yield holds(ctx, "p_nilpotent", p)
 
 
 def _enc_l2121(ctx, params, wit):
-    fset = generalized_fitting(ctx.group).element_set()
+    fset = generalized_fitting_of(ctx).element_set()
     for N in ctx.normal_subgroups():
         yield _fstar(N).element_set() <= fset
 
 
 def _enc_l2122(ctx, params, wit):
-    fs_g = generalized_fitting(ctx.group)
+    fs_g = generalized_fitting_of(ctx)
     for N in ctx.normal_subgroups():
         if N.element_set() <= fs_g.element_set():
             img, fs_q = _fstar_images(ctx, N, fs_g)
@@ -402,7 +399,7 @@ def _enc_l2122(ctx, params, wit):
 
 
 def _enc_l2123(ctx, params, wit):
-    fs = generalized_fitting(ctx.group)
+    fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
     ok = fit.element_set() <= fs.element_set()
     ok = ok and _fstar(fs).key == fs.key
@@ -413,25 +410,25 @@ def _enc_l2123(ctx, params, wit):
 
 def _enc_l2124(ctx, params, wit):
     cent = ctx.chief_centralizer(ctx.trivial_subgroup(),
-                                 generalized_fitting(ctx.group))
+                                 generalized_fitting_of(ctx))
     yield cent.element_set() <= ctx.fitting().element_set()
 
 
 def _enc_l2125(ctx, params, wit):
-    G = ctx.group
-    fs = generalized_fitting(G)
+    fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
-    E = layer(G)
+    E = layer_of(ctx)
     joined = ctx.generated(tuple(fit.generators) + tuple(E.generators))
     ok = joined.key == fs.key
-    ZE = context_of(E).center()
+    ectx = context_of(E)
+    ZE = ectx.center()
     ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()
     yield ok and (E.order == ZE.order
-                  or _semisimple_nonabelian(context_of(E).quotient_ctx(ZE).group))
+                  or _semisimple_nonabelian(ectx.quotient_ctx(ZE).group))
 
 
 def _enc_l2131(ctx, params, wit):
-    fs_g = generalized_fitting(ctx.group)
+    fs_g = generalized_fitting_of(ctx)
     for H in ctx.normal_subgroups():
         if is_soluble(H):
             img, fs_q = _fstar_images(ctx, context_of(H).frattini(), fs_g)
@@ -439,7 +436,7 @@ def _enc_l2131(ctx, params, wit):
 
 
 def _enc_l2132(ctx, params, wit):
-    fs_g = generalized_fitting(ctx.group)
+    fs_g = generalized_fitting_of(ctx)
     zset = ctx.center().element_set()
     for K in ctx.normal_subgroups():
         if K.order > 1 and len(prime_divisors(K.order)) == 1 \
@@ -455,15 +452,14 @@ def _enc_l31(ctx, params, wit):
         return
     p = min(ctx.primes())
     M = next((M for M in ctx.maximal_subgroups_of(ctx.sylow(p))
-              if not is_fs_quasinormal(G, M, "S").holds), None)
+              if not _fsq(ctx, M, "S")), None)
     if M is not None:
         if _recheck_fsq(ctx, M, "S", False):
             wit.append({"kind": "fsq_failure", "formation": "S",
-                        "subgroup": _gens_json(M),
-                        "sylow_prime": p, "rechecked": True})
+                        "subgroup": M, "sylow_prime": p, "rechecked": True})
         else:
             wit.append(_recheck_failed("fsq_failure", M))
-    yield M is None, is_soluble(G)
+    yield M is None, holds(ctx, "soluble")
 
 
 def _enc_t32(ctx, params, wit):
@@ -478,9 +474,9 @@ def _enc_t32(ctx, params, wit):
             rep = c[0]
             if math.gcd(rep.order, G.order // rep.order) != 1:
                 continue
-            if not is_supersoluble(rep):
-                continue
             rctx = context_of(rep)
+            if not holds(rctx, "supersoluble"):
+                continue
             if all(is_cyclic(rctx.sylow(q)) for q in prime_divisors(rep.order)):
                 b_classes.append(c)
         for ac in a_classes:
@@ -492,20 +488,19 @@ def _enc_t32(ctx, params, wit):
                         if ctx.product_size(A, B) == G.order and \
                                 (A.key, B.key) != (G.key, triv.key):
                             pairs.append((A, B))
-    concl = is_supersoluble(G)
+    concl = holds(ctx, "supersoluble")
     for A, B in pairs:
         if _maximals_condition(ctx, A, only_noncyclic=True,
                                allow_supplement=False):
             if B.order == 1:
-                wit.append({"kind": "b_trivial_factorization",
-                            "a": _gens_json(A),
+                wit.append({"kind": "b_trivial_factorization", "a": A,
                             "note": "B = 1 included by policy"})
             yield concl
 
 
 def _enc_t33(ctx, params, wit):
     F = params["formation"]
-    concl = in_formation(ctx.group, F)
+    concl = member(ctx, F)
     for H in ctx.normal_subgroups():
         if not quotient_in_formation(ctx, H, F):
             continue
@@ -516,31 +511,29 @@ def _enc_t33(ctx, params, wit):
 
 def _enc_l41(ctx, params, wit):
     p, n = params["p"], params["n"]
-    G = ctx.group
     for M in ctx.n_maximal_subgroups_of(ctx.sylow(p), n):
-        v = has_f_supplement(G, M, "p_nilpotent", p)
+        v = f_supplement(ctx, M, "p_nilpotent", p)
         if not v.holds:
             return
         if v.witness is not None and not wit:
             if _recheck_supplement(ctx, M, v.witness):
                 wit.append({"kind": "supplement", "p": p, "n": n,
-                            "subgroup": _gens_json(M),
-                            "supplement": _gens_json(v.witness),
+                            "subgroup": M, "supplement": v.witness,
                             "rechecked": True})
             else:
                 wit.append(_recheck_failed("supplement", M))
-    yield is_p_nilpotent(G, p)
+    yield holds(ctx, "p_nilpotent", p)
 
 
 def _enc_l42(ctx, params, wit):
     p, n = params["p"], params["n"]
     if _n_maximals_embedded(ctx, ctx.sylow(p), p, n):
-        yield is_p_nilpotent(ctx.group, p)
+        yield holds(ctx, "p_nilpotent", p)
 
 
 def _enc_t43(ctx, params, wit):
     p, n = params["p"], params["n"]
-    yield is_p_nilpotent(ctx.group, p), any(
+    yield holds(ctx, "p_nilpotent", p), any(
         _quotient_p_nilpotent(ctx, E, p)
         and _n_maximals_embedded(ctx, ctx.sylow_of_subgroup(E, p)[0], p, n)
         for E in ctx.normal_subgroups())
@@ -548,15 +541,14 @@ def _enc_t43(ctx, params, wit):
 
 def _enc_t44(ctx, params, wit):
     p = params["p"]
-    lhs = is_p_nilpotent(ctx.group, p)
+    lhs = holds(ctx, "p_nilpotent", p)
     H = next((H for H in ctx.normal_subgroups()
               if is_soluble(H) and _quotient_p_nilpotent(ctx, H, p)
               and _maximals_condition(ctx, context_of(H).fitting(),
                                       only_noncyclic=False,
                                       allow_supplement=False)), None)
     if H is not None:
-        wit.append({"kind": "qualifying_normal", "p": p,
-                    "subgroup": _gens_json(H)})
+        wit.append({"kind": "qualifying_normal", "p": p, "subgroup": H})
     yield lhs, H is not None
 
 
@@ -607,7 +599,8 @@ def verify_case(G: Group, theorem_id: str, params: dict) -> CaseResult:
     direction = "iff" if theorem_id in IFF_IDS else "implication"
     imported = theorem_id in IMPORTED_IDS
     witnesses: list = []
-    yielded = list(_ENCODERS[theorem_id](context_of(G), params, witnesses))
+    ctx = context_of(G)
+    yielded = list(_ENCODERS[theorem_id](ctx, params, witnesses))
     if direction == "iff":
         bad = [(a, b) for a, b in yielded if a != b]
         if bad:
@@ -622,6 +615,8 @@ def verify_case(G: Group, theorem_id: str, params: dict) -> CaseResult:
         verdict = "fail" if not concl else "pass" if hyp else "vacuous"
     if any(w["kind"] == "recheck_failed" for w in witnesses):
         verdict = "fail"
+    witnesses = [{k: _gens_json(ctx, G, v) if isinstance(v, Group) else v
+                  for k, v in w.items()} for w in witnesses]
     return CaseResult(theorem_id=theorem_id, params=dict(params),
                       direction=direction, imported=imported,
                       hypothesis_value=bool(hyp), conclusion_value=bool(concl),

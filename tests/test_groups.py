@@ -28,7 +28,6 @@ from grouplab.groups import (
     quotient,
     semidirect_product,
     set_product,
-    trivial_group,
 )
 from grouplab.perms import Permutation, from_cycles, identity
 
@@ -102,11 +101,6 @@ def test_from_elements_reconstructs():
     G = symmetric(3)
     H = from_elements(3, G.elements())
     assert H.order == 6 and H.element_set() == G.element_set()
-
-
-def test_trivial_group():
-    T = trivial_group()
-    assert T.order == 1 and T.degree == 1
 
 
 def test_direct_product():

@@ -1,12 +1,22 @@
 """Suite runner: selection, report shape, determinism, skip records."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from grouplab import harness
-from grouplab.catalog import Catalog, CatalogEntry, GroupSpec, builtin_group
+from grouplab.catalog import (
+    Catalog,
+    CatalogEntry,
+    GroupSpec,
+    builtin_group,
+    core_catalog_path,
+    load_catalog,
+)
+from grouplab.context import clear_contexts, context_of
 from grouplab.harness import (
     SCHEMA,
     report_body_without_timing,
@@ -123,3 +133,25 @@ def test_worker_pool_is_capped_at_the_number_of_groups(monkeypatch):
     assert rep["timing"]["jobs"] == 5000
     run_suite(cat, ("L3.1",), jobs=2)
     assert asked == [3, 2]
+
+
+def test_report_body_does_not_depend_on_registry_history(monkeypatch):
+    """A witness prints generators that depend only on itself and the group
+    passed to verify_case.  With the per-group clear_contexts turned off,
+    after every catalog group's context was made in reverse name order, so
+    that each element set shared by two catalog groups is held by the later
+    one's object, the core run keeps the reference body digest."""
+    reference = json.loads((Path(__file__).parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    catalog = load_catalog(core_catalog_path())
+    clear_contexts()
+    monkeypatch.setattr(harness, "clear_contexts", lambda: None)
+    try:
+        for entry in sorted(catalog.entries, key=lambda e: e.name,
+                            reverse=True):
+            context_of(entry.group).all_subgroups()
+        report = run_suite(catalog, THEOREM_IDS, jobs=1)
+    finally:
+        clear_contexts()
+    body = report_body_without_timing(report)
+    assert hashlib.sha256(body).hexdigest() == reference["verify-core"]["body"]

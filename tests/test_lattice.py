@@ -147,7 +147,6 @@ def test_named_subgroups_s4():
     assert ctx.fitting().order == 4
     assert ctx.frattini().order == 1
     assert ctx.center().order == 1
-    assert ctx.socle().order == 4
     assert ctx.O_p(2).order == 4
     assert generalized_fitting(S4).order == 4
 

@@ -1,17 +1,22 @@
-"""Memoization: a repeated query returns the stored object, not a recomputation."""
+"""Memoization: one decorator, ``context.memoized``, whose table is the
+decorated function and whose key is the argument tuple after the context.
+A repeated query returns the stored object, not a recomputation."""
 
 from grouplab.catalog import builtin_group
-from grouplab.context import GroupContext, _memoized, context_of
+from grouplab.context import GroupContext, context_of, memoized
 from grouplab.formations import f_hypercenter, f_residual, hypercenter_preimage
 from grouplab.quasinormal import (
+    f_supplement,
+    fs_quasinormal,
     has_f_supplement,
     is_fs_quasinormal,
     is_fs_quasinormal_variant,
     is_s_permutable,
+    s_permutable,
 )
 from grouplab.groups import from_elements
 from grouplab.perms import Permutation
-from grouplab.structure import generalized_fitting
+from grouplab.structure import generalized_fitting, holds
 
 
 def test_memoized_entry_points_return_the_stored_object(monkeypatch):
@@ -35,6 +40,10 @@ def test_memoized_entry_points_return_the_stored_object(monkeypatch):
         "f_residual": lambda: f_residual(G, "U"),
         "hypercenter_preimage": lambda: hypercenter_preimage(G, N, "U"),
         "generalized_fitting": lambda: generalized_fitting(G),
+        "s_permutable": lambda: s_permutable(ctx, H),
+        "fs_quasinormal": lambda: fs_quasinormal(ctx, H, "S", True),
+        "f_supplement": lambda: f_supplement(ctx, H, "p_nilpotent", 3),
+        "holds": lambda: holds(ctx, "p_nilpotent", 2),
     }
     # a stored value costs no group arithmetic at all
     products = []
@@ -49,34 +58,47 @@ def test_memoized_entry_points_return_the_stored_object(monkeypatch):
 
 
 def test_memo_computes_once_per_table_and_key():
-    """compute(*args) runs on the first use of a (table, key) pair only, and
-    a stored False or None is a hit."""
-    ctx = GroupContext(builtin_group("symmetric(3)"))
-    computed = []
+    """The body runs on the first use of an argument tuple only, each
+    decorated function is a table of its own, and a stored False or None is
+    a hit."""
+    runs = []
 
-    def compute(*args):
-        computed.append(args)
+    @memoized
+    def first(ctx, *args):
+        runs.append(("first",) + args)
         return args[0] if args else False
 
+    @memoized
+    def second(ctx, *args):
+        runs.append(("second",) + args)
+        return len(args)
+
+    ctx = GroupContext(builtin_group("symmetric(3)"))
     for _ in range(3):
-        assert ctx.memo("test_table", "k", compute) is False
-        assert ctx.memo("test_table", "j", compute, None) is None
-        assert ctx.memo("other_table", "k", compute, 1, 2) == 1
-    assert computed == [(), (None,), (1, 2)]
+        assert first(ctx) is False
+        assert first(ctx, None) is None
+        assert first(ctx, 1, 2) == 1
+        assert second(ctx, 1, 2) == 2
+    assert runs == [("first",), ("first", None), ("first", 1, 2),
+                    ("second", 1, 2)]
+    # the tables live in the context: another context computes again
+    assert first(GroupContext(builtin_group("symmetric(3)"))) is False
+    assert runs[-1] == ("first",)
+    assert len(runs) == 5
 
 
 def test_memoized_method_runs_once_per_subgroup():
     """A memoized method's body runs once with no argument, and once per
-    subgroup element set: an equal subgroup object is a hit."""
+    subgroup element set: an equal but distinct subgroup object is a hit."""
     runs = []
 
     class Probe(GroupContext):
-        @_memoized
+        @memoized
         def whole(self):
             runs.append("whole")
             return self.group.order
 
-        @_memoized
+        @memoized
         def of(self, H):
             runs.append(H.order)
             return H.order
@@ -84,9 +106,11 @@ def test_memoized_method_runs_once_per_subgroup():
     G = builtin_group("symmetric(3)")
     ctx = Probe(G)
     H = ctx.subgroup_classes()[1][0]
+    copy = from_elements(G.degree, H.elements())
+    assert copy is not H and copy == H
     for _ in range(3):
         assert ctx.whole() == 6
         assert ctx.of(H) == 2
-        assert ctx.of(from_elements(G.degree, H.elements())) == 2
+        assert ctx.of(copy) == 2
         assert ctx.of(G) == 6
     assert runs == ["whole", 2, 6]

@@ -3,6 +3,7 @@ ambient's registry and lattice without any linking call."""
 
 import gc
 import inspect
+import sys
 import weakref
 
 import pytest
@@ -45,6 +46,28 @@ def test_all_theorems_build_one_group_per_element_set(monkeypatch):
     ambient_tree = [k for k in built if k[0] == S4.degree]
     assert len(ambient_tree) > 1
     assert len(ambient_tree) == len(set(ambient_tree))
+
+
+def test_all_theorems_on_s4_pass_the_context_they_hold(monkeypatch):
+    """Encoders and the context-first predicates hand on the context they
+    already hold: all 35 theorems on S4 look up at most 600 contexts,
+    counted under every module name that binds context_of."""
+    calls = []
+    original = context.context_of
+
+    def counting(G):
+        calls.append(1)
+        return original(G)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "grouplab" or name.startswith("grouplab.")) and \
+                vars(module).get("context_of") is original:
+            monkeypatch.setattr(module, "context_of", counting)
+    S4 = symmetric(4)
+    for tid in THEOREM_IDS:
+        for params in params_for(S4, tid):
+            assert verify_case(S4, tid, params).verdict != "fail", tid
+    assert 0 < len(calls) <= 600
 
 
 def test_subgroup_context_reads_the_ambients_objects():

@@ -9,7 +9,7 @@ import sys
 import types
 from pathlib import Path
 
-from grouplab import theorems
+from grouplab import formations, quasinormal, theorems
 from grouplab.catalog import builtin_group
 from grouplab.context import GroupContext, clear_contexts
 from grouplab.groups import Group, Homomorphism
@@ -54,6 +54,7 @@ def test_tracer_wraps_and_restores_every_entry_point():
         during = _bindings()
         tracer.begin_group("symmetric(3)")
         theorems.verify_case(G, "L2.1a", {})
+        quasinormal.is_s_permutable(G, G)
         tracer.end_group("symmetric(3)", 0.0)
     after = _bindings()
     wrapped = [k for k in before if during.get(k) is not before[k]]
@@ -61,18 +62,27 @@ def test_tracer_wraps_and_restores_every_entry_point():
     assert [k for k in before if after.get(k) is not before[k]] == []
     calls = tracer.summary()["calls"]
     assert calls["theorems.verify_case"] == 1
-    assert calls["quasinormal.s_permutable"] > 0
+    assert calls["quasinormal.s_permutable"] == 1
 
 
-def test_tracer_counts_the_hypercenter_preimages_of_a_scan():
-    """An F_s-quasinormality scan reads Z_inf^F(G/H_G) through the public
-    hypercenter_preimage, so the tracer's span for it counts calls."""
-    clear_contexts()   # no scan may be answered from an earlier test's memo
+def test_tracer_counts_calls_through_the_public_doors():
+    """The encoders and scans call the context-first entries; the tracer's
+    quasinormal and formations spans count the calls made through the public
+    (G, ...) functions, once each."""
+    clear_contexts()
     tracer_mod = _load_tracer()
     G = builtin_group("symmetric(4)")
     tracer = tracer_mod.Tracer({"symmetric(4)": (G.degree, G.order)})
     with tracer:
         tracer.begin_group("symmetric(4)")
         theorems.verify_case(G, "L2.2.2", {"formation": "U"})
+        N = formations.f_residual(G, "N")
+        formations.hypercenter_preimage(G, N, "U")
+        quasinormal.is_fs_quasinormal(G, N, "U")
         tracer.end_group("symmetric(4)", 0.0)
-    assert tracer.summary()["calls"]["formations.hypercenter_preimage"] > 0
+    calls = tracer.summary()["calls"]
+    assert calls["theorems.verify_case"] == 1
+    assert calls["formations.residual"] == 1
+    assert calls["formations.hypercenter_preimage"] == 1
+    assert calls["quasinormal.fs_quasinormal"] == 1
+    assert calls["quasinormal.s_permutable"] == 0
