@@ -1,14 +1,15 @@
 """The element index of a group: its elements numbered 0..n-1 in image-tuple
 order, so the identity is 0, and a subgroup held as an int mask over them.
 
-Right multiplication by element j is column j of the Cayley table and left
-multiplication by it is row j, each filled on first use, so an index holds
-at most 2 n^2 <= 2 * 10^6 ints.  Conjugation by element j is read off one
-row and one column.  Closure is
-Dimino's coset method: a subgroup grows by whole right cosets of a known
-subgroup, each the image of a listed coset under one generator column
-(Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
-ch. 3-4).
+The index holds one multiplication table, n columns of n ints, composed on
+first use: only the generators' columns are mapped from permutations, and
+every other column is composed along a walk of the Cayley graph from the
+identity, the column of x g being the column of x followed by that of the
+generator g.  Left multiplication, inverses, conjugation maps and element
+orders are read off the table.  Closure is Dimino's coset method: a subgroup
+grows by whole right cosets of a known subgroup, each the image of a listed
+coset under one generator column (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 3-4).
 
 The subgroup lattice is the closure of the cyclic subgroups under joins
 <H, C> with a cyclic C, reduced by conjugacy classes (Neubüser, *Numer.
@@ -28,19 +29,21 @@ from .perms import Permutation
 
 
 class ElementIndex:
-    """A group's elements by position, and its Cayley table by columns and
-    rows."""
+    """A group's elements by position, and its Cayley table by columns."""
 
-    __slots__ = ("elements", "_position", "_columns", "_rows", "_inverses",
-                 "_conjugations")
+    __slots__ = ("elements", "generators", "_position", "_table", "_cyclic",
+                 "_orders", "_conjugations")
 
-    def __init__(self, elements: Sequence[Permutation]):
+    def __init__(self, elements: Sequence[Permutation],
+                 generators: Sequence[Permutation]):
+        """The index of the group with these elements, which the generators
+        generate."""
         self.elements = tuple(elements)
         self._position = {e.images: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self._columns: list = [None] * n
-        self._rows: list = [None] * n
-        self._inverses: list = [None] * n
+        self.generators = [self.position(g) for g in generators]
+        self._table: list[list[int]] = []
+        self._cyclic: list[list[int]] = []
+        self._orders: list[int] = []
         self._conjugations: dict[int, list[int]] = {}
 
     def position(self, perm: Permutation) -> int:
@@ -49,40 +52,66 @@ class ElementIndex:
 
     def column(self, j: int) -> list[int]:
         """col[i] is the position of elements[i] * elements[j]."""
-        col = self._columns[j]
-        if col is None:
-            g = self.elements[j].images.__getitem__
-            position = self._position
-            col = self._columns[j] = [position[tuple(map(g, e.images))]
-                                      for e in self.elements]
-        return col
+        if not self._table:
+            self._compose()
+        return self._table[j]
 
-    def row(self, j: int) -> list[int]:
-        """row[i] is the position of elements[j] * elements[i]."""
-        row = self._rows[j]
-        if row is None:
-            images = self.elements[j].images
-            position = self._position
-            row = self._rows[j] = [position[tuple(map(e.images.__getitem__,
-                                                      images))]
-                                   for e in self.elements]
-        return row
+    def _compose(self) -> None:
+        position = self._position
+        table: list = [None] * len(self.elements)
+        table[0] = list(range(len(self.elements)))
+        gen_cols = [[position[(e * self.elements[g]).images]
+                     for e in self.elements] for g in self.generators]
+        walk = [0]
+        for x in walk:
+            col_x = table[x]
+            for col_g in gen_cols:
+                y = col_g[x]
+                if table[y] is None:
+                    # e_i e_y = (e_i e_x) g
+                    table[y] = list(map(col_g.__getitem__, col_x))
+                    walk.append(y)
+        self._table = table
 
     def inverse(self, j: int) -> int:
         """The position of elements[j]^-1."""
-        inv = self._inverses[j]
-        if inv is None:
-            inv = self._inverses[j] = self.position(self.elements[j].inverse())
-        return inv
+        return self.column(j).index(0)
 
     def conjugation(self, j: int) -> list[int]:
         """c[i] is the position of g^-1 * elements[i] * g, g = elements[j]:
-        the column of g followed by the row of g^-1."""
+        the product g^-1 e_i, read off column i, then the column of g."""
         conj = self._conjugations.get(j)
         if conj is None:
-            left = self.row(self.inverse(j))
-            conj = self._conjugations[j] = [left[x] for x in self.column(j)]
+            col = self.column(j)
+            inv = col.index(0)
+            conj = self._conjugations[j] = [col[c[inv]] for c in self._table]
         return conj
+
+    def cyclic(self) -> list[list[int]]:
+        """The powers [0, e, e^2, ...] of the first element e of each
+        non-trivial cyclic subgroup.  This one walk also gives every
+        element's order: the generators of a cyclic subgroup of order m are
+        its powers e^k with gcd(k, m) = 1, and each has order m."""
+        if not self._orders:
+            orders = [1] * len(self.elements)
+            for e in range(1, len(self.elements)):
+                if orders[e] == 1:   # no cyclic subgroup walked so far has e
+                    col = self.column(e)
+                    powers = [0, e]
+                    while col[powers[-1]]:
+                        powers.append(col[powers[-1]])
+                    m = len(powers)
+                    for k in range(1, m):
+                        if gcd(k, m) == 1:
+                            orders[powers[k]] = m
+                    self._cyclic.append(powers)
+            self._orders = orders
+        return self._cyclic
+
+    def orders(self) -> list[int]:
+        """orders[i] is the order of elements[i]."""
+        self.cyclic()
+        return self._orders
 
     def mask(self, positions: Iterable[int]) -> int:
         """The int mask with exactly these bits set."""
@@ -128,45 +157,20 @@ class ElementIndex:
                 elems, mask = self.extend(elems, mask, gens)
         return gens, elems, mask
 
-    def subgroups(self, generators: Sequence[int]) -> dict[int, list[int]]:
-        """Every subgroup, mask -> elements, of the group that the elements at
-        `generators` generate, which must be the whole indexed group: the cyclic
-        subgroups closed under joins <H, C> with a cyclic C, one H per
-        conjugacy class."""
-        conj = [self.conjugation(g) for g in generators]
-        # each cyclic subgroup is walked from its first generator, and its
-        # other generators are marked so that none is walked again
-        walked = bytearray(len(self.elements))
-        seeds = []
-        for e in range(1, len(self.elements)):
-            if not walked[e]:
-                col = self.column(e)
-                powers = [0, e]
-                while col[powers[-1]]:
-                    powers.append(col[powers[-1]])
-                for k in range(1, len(powers)):
-                    if gcd(k, len(powers)) == 1:
-                        walked[powers[k]] = 1
-                seeds.append((sum(1 << x for x in powers), powers, [e]))
+    def subgroups(self) -> dict[int, list[int]]:
+        """Every subgroup, mask -> elements: the cyclic subgroups closed under
+        joins <H, C> with a cyclic C, one H per conjugacy class."""
+        conj = [self.conjugation(g) for g in self.generators]
+        seeds = [(self.mask(powers), powers, [powers[1]])
+                 for powers in self.cyclic()]
+        # found is a union of whole classes; only the first-found member of
+        # each class goes on the worklist
         found = {1: [0]}
         worklist = []
-
-        def add_class(mask: int, elems: list[int], hgens: list[int]) -> None:
-            # found is a union of whole classes; only H goes on the worklist
-            found[mask] = elems
-            worklist.append((mask, elems, hgens))
-            orbit = [elems]
-            for pos in orbit:
-                for c in conj:
-                    image = [c[x] for x in pos]
-                    image_mask = self.mask(image)
-                    if image_mask not in found:
-                        found[image_mask] = image
-                        orbit.append(image)
-
         for seed in seeds:
             if seed[0] not in found:
-                add_class(*seed)
+                found.update(self.orbit(seed[1], conj))
+                worklist.append(seed)
         while worklist:
             hmask, helems, hgens = worklist.pop()
             for cmask, _, cgens in seeds:
@@ -175,5 +179,21 @@ class ElementIndex:
                 gens = hgens + cgens
                 elems, mask = self.extend(helems, hmask, gens)
                 if mask not in found:
-                    add_class(mask, elems, gens)
+                    found.update(self.orbit(elems, conj))
+                    worklist.append((mask, elems, gens))
         return found
+
+    def orbit(self, elems: list[int],
+              conj: Sequence[list[int]]) -> dict[int, list[int]]:
+        """mask -> positions of each image of the set at these positions
+        under the group that the conjugation maps `conj` generate."""
+        orbit = {self.mask(elems): elems}
+        queue = [elems]
+        for pos in queue:
+            for c in conj:
+                image = [c[x] for x in pos]
+                mask = self.mask(image)
+                if mask not in orbit:
+                    orbit[mask] = image
+                    queue.append(image)
+        return orbit

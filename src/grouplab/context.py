@@ -85,12 +85,18 @@ def subgroup_sort_key(H: Group) -> tuple:
 
 def memoized(fn):
     """Memoize fn(ctx, *args) in the context ctx: its table is fn, its key
-    the argument tuple.  Arguments are hashable and positional; a Group hashes
-    and compares by its degree and element set, so an equal subgroup object
-    is a hit.  The body runs only on a miss, and a stored False or None is a
-    hit."""
+    the argument tuple with omitted defaults filled in, so f(ctx, x) and
+    f(ctx, x, default) share an entry.  Arguments are hashable and
+    positional; a Group hashes and compares by its degree and element set, so
+    an equal subgroup object is a hit.  The body runs only on a miss, and a
+    stored False or None is a hit."""
+    n = fn.__code__.co_argcount - 1          # the parameters after ctx
+    defaults = fn.__defaults__ or ()
+    required = n - len(defaults)
     @wraps(fn)
     def wrapper(ctx, *args):
+        if required <= len(args) < n:
+            args += defaults[len(args) - n:]
         entries = ctx._memo[fn]
         value = entries.get(args, _MISSING)
         if value is _MISSING:
@@ -111,7 +117,7 @@ class GroupContext:
         # are shared by every context in its tree
         self._root = root
         if root is None:
-            self._index = ElementIndex(G.elements())
+            self._index = ElementIndex(G.elements(), G.generators)
             whole = (1 << G.order) - 1
             self._registry: dict[int, Group] = {whole: G}
             # element key -> (mask, sorted positions) of each registry subgroup
@@ -164,14 +170,11 @@ class GroupContext:
 
     def generated(self, elements) -> Group:
         """The tree's one Group object for the subgroup generated by these
-        elements of the ambient."""
-        _, elems, mask = self._index.close(self._at(elements))
-        return self._group(self._inside(mask), elems)
-
-    def subgroup(self, elements) -> Group:
-        """The subgroup generated by these elements: for the element set of a
-        registry subgroup, that subgroup, found by its mask."""
+        elements of the ambient: for the element set of a registry subgroup,
+        that subgroup, found by its mask."""
         return self._subgroup_at(self._at(elements))
+
+    subgroup = generated
 
     def _subgroup_at(self, positions: Iterable[int]) -> Group:
         mask = self._index.mask(positions)
@@ -248,40 +251,29 @@ class GroupContext:
     # conjugation
 
     @memoized
-    def _conjugations(self) -> list[list[int]]:
-        """The conjugation map of each generator of the group, on positions."""
-        return [self._index.conjugation(g)
-                for g in self._at(self.group.generators)]
-
-    @memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """The classes of elements, each the orbit of its first element under
         the generators' conjugation maps, in order of that element."""
-        conj = self._conjugations()
+        conj = [self._index.conjugation(g)
+                for g in self._at(self.group.generators)]
         at = self._index.elements
-        seen = set()
+        seen: set[int] = set()
         classes = []
         for e in self.positions(self.group):
-            if e in seen:
-                continue
-            orbit = [e]
-            seen.add(e)
-            for x in orbit:
-                for c in conj:
-                    y = c[x]
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            classes.append(frozenset(at[i] for i in orbit))
+            if e not in seen:
+                orbit = [x for x, in self._index.orbit([e], conj).values()]
+                seen.update(orbit)
+                classes.append(frozenset(at[i] for i in orbit))
         return tuple(classes)
 
     # ------------------------------------------------------------------
     # normal subgroups
 
-    def normal_closure_in(self, K: Group, H: Group) -> Group:
-        """Normal closure of H inside the subgroup K (both within the ambient)."""
+    def normal_closure(self, K: Group, positions: list[int]) -> Group:
+        """Normal closure inside the subgroup K of the elements at these
+        positions."""
         index = self._index
-        gens, elems, mask = index.close(self._at(H.generators))
+        gens, elems, mask = index.close(positions)
         conj = [index.conjugation(k) for k in self._at(K.generators)]
         changed = True
         while changed:
@@ -294,14 +286,33 @@ class GroupContext:
                         changed = True
         return self._group(mask, elems)
 
+    def commutator(self, A: Group, B: Group) -> Group:
+        """[A, B] for B normal in A: the normal closure in A of the
+        commutators [a, b] = a^-1 a^b of their generators."""
+        index = self._index
+        bconj = [index.conjugation(b) for b in self._at(B.generators)]
+        return self.normal_closure(A, [
+            index.column(c[a])[index.inverse(a)]
+            for a in self._at(A.generators) for c in bconj])
+
+    def is_abelian(self) -> bool:
+        """Whether the group's generators commute pairwise."""
+        column = self._index.column
+        gens = self._at(self.group.generators)
+        return all(column(a)[b] == column(b)[a] for a in gens for b in gens)
+
+    def is_cyclic(self) -> bool:
+        """Whether some element's order is the group's."""
+        orders = self._index.orders()
+        return any(orders[i] == self.group.order
+                   for i in self.positions(self.group))
+
     @memoized
     def normal_subgroups(self) -> tuple[Group, ...]:
         """All normal subgroups, sorted by (order, element key)."""
         index = self._index
-        gens = self._at(self.group.generators)
-        if all(index.column(a)[b] == index.column(b)[a]
-               for a in gens for b in gens):
-            # abelian: every subgroup is normal
+        if self.is_abelian():
+            # every subgroup is normal
             return self.all_subgroups()
         classes = sorted((sorted(self._at(c)) for c in self.conjugacy_classes()),
                          key=lambda c: (len(c), c[0]))
@@ -331,14 +342,19 @@ class GroupContext:
                      if not any(m != n and not m & ~n for m in masks))
 
     def is_normal(self, H: Group) -> bool:
-        """Whether H is a normal subgroup: every generator's conjugation map
-        keeps H's generators inside H."""
+        """Whether H is a normal subgroup."""
         try:
-            hmask = self.mask(H)
+            return self.normalizes(self.group, H)
         except NotASubgroupError:
             return False
+
+    def normalizes(self, K: Group, H: Group) -> bool:
+        """Whether K normalizes H: the conjugation map of each generator of
+        K keeps H's generators inside H."""
+        hmask = self.mask(H)
         hgens = self._at(H.generators)
-        return all(hmask >> c[x] & 1 for c in self._conjugations()
+        return all(hmask >> c[x] & 1
+                   for c in map(self._index.conjugation, self._at(K.generators))
                    for x in hgens)
 
     # ------------------------------------------------------------------
@@ -356,8 +372,7 @@ class GroupContext:
             if cached is not None:
                 return cached
         found = sorted((len(elems), sorted(elems), mask)
-                       for mask, elems in self._index.subgroups(
-                           self._at(self.group.generators)).items())
+                       for mask, elems in self._index.subgroups().items())
         subgroups = tuple(self._group(mask, elems) for _, elems, mask in found)
         if _cache.enabled():
             _cache.store_lattice(self.group, subgroups)
@@ -370,25 +385,16 @@ class GroupContext:
         under the generators' conjugation maps."""
         subs = self.all_subgroups()
         rank = {m: r for r, (_, m) in enumerate(self._masked_lattice())}
-        conj = self._conjugations()
-        to_mask = self._index.mask
+        conj = [self._index.conjugation(g)
+                for g in self._at(self.group.generators)]
         seen: set[int] = set()
         classes = []
         for H in subs:
             hmask, hpos = self._where(H)
             if hmask in seen:
                 continue
-            orbit = {hmask}
-            queue = [hpos]
-            while queue:
-                pos = queue.pop()
-                for c in conj:
-                    image = [c[x] for x in pos]
-                    mask = to_mask(image)
-                    if mask not in orbit:
-                        orbit.add(mask)
-                        queue.append(image)
-            seen |= orbit
+            orbit = self._index.orbit(hpos, conj)
+            seen.update(orbit)
             # H comes first: a member before it would have been seen
             classes.append(tuple(subs[r] for r in sorted(map(rank.get, orbit))))
         return tuple(classes)
@@ -497,15 +503,14 @@ class GroupContext:
     @memoized
     def O_upper_p(self, p: int) -> Group:
         """Smallest normal subgroup with p-group quotient: <all p'-elements>."""
-        return self.generated([e for e in self.group.elements()
-                               if e.order() % p != 0])
+        orders = self._index.orders()
+        return self._subgroup_at([i for i in self.positions(self.group)
+                                  if orders[i] % p])
 
     @memoized
     def fitting(self) -> Group:
-        gens: list[Permutation] = []
-        for p in self.primes():
-            gens.extend(self.O_p(p).generators)
-        return self.generated(gens) if gens else self.trivial_subgroup()
+        return self.generated([g for p in self.primes()
+                               for g in self.O_p(p).generators])
 
     # ------------------------------------------------------------------
     # core and subnormality
@@ -527,7 +532,7 @@ class GroupContext:
         K = self.group
         defect = 0
         while K.key != H.key:
-            N = self.normal_closure_in(K, H)
+            N = self.normal_closure(K, self._at(H.generators))
             if N.key == K.key:
                 return False, defect
             K = N
@@ -608,20 +613,16 @@ class GroupContext:
 
     def _coset_labels(self, L: Group) -> list[int]:
         """label[i] names the right coset L x of the element x at position i
-        by its smallest position: the orbits of left multiplication by L's
-        generators."""
-        rows = [self._index.row(l) for l in self._at(L.generators)]
+        by its smallest position: the coset is column x read at L's
+        positions."""
+        column = self._index.column
+        lpos = self.positions(L)
         label = [-1] * len(self._index.elements)
         for x in self.positions(self.group):
             if label[x] < 0:
-                label[x] = x
-                orbit = [x]
-                for y in orbit:
-                    for row in rows:
-                        z = row[y]
-                        if label[z] < 0:
-                            label[z] = x
-                            orbit.append(z)
+                col = column(x)
+                for h in lpos:
+                    label[col[h]] = x
         return label
 
     @memoized
@@ -637,6 +638,6 @@ class GroupContext:
         index = self._index
         out = self.positions(self.group)
         for h in self._at(upper.generators):
-            row, col = index.row(h), index.column(h)
-            out = [g for g in out if label[row[g]] == label[col[g]]]
+            col = index.column(h)
+            out = [g for g in out if label[index.column(g)[h]] == label[col[g]]]
         return self._subgroup_at(out)

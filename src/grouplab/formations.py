@@ -47,12 +47,6 @@ def member(ctx: GroupContext, formation: str) -> bool:
     return holds(ctx, _MEMBERSHIP[formation])
 
 
-def _factor_abelian(lower: Group, upper: Group) -> bool:
-    lset = lower.element_set()
-    return all((a.inverse() * b.inverse() * a * b) in lset
-               for a in upper.generators for b in upper.generators)
-
-
 def is_f_central(G: Group, cf: ChiefFactor, formation: str) -> bool:
     return f_central(context_of(G), cf, formation)
 
@@ -73,10 +67,11 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
     if formation == "U":
         return is_prime(forder)
     if formation == "S":
-        if not _factor_abelian(cf.lower, cf.upper):
+        # the factor is abelian exactly when upper centralizes it
+        cmask = ctx.mask(cf.centralizer)
+        if ctx.mask(cf.upper) & ~cmask:
             return False
-        cset = cf.centralizer.element_set()
-        return any(term.element_set() <= cset
+        return any(not ctx.mask(term) & ~cmask
                    for term in series_of(ctx, "derived").chain)
     raise ValueError(f"unknown formation: {formation!r}")
 

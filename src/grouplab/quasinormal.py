@@ -117,14 +117,22 @@ def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
     return Verdict(False, detail=_HT_NOTE)
 
 
-def _class_predicate(kind: str, p: Optional[int]):
+@memoized
+def _classes_in(ctx: GroupContext, kind: str,
+                p: Optional[int]) -> tuple[tuple[Group, ...], ...]:
+    """The subgroup classes of ctx's group whose members lie in the
+    supplement class.  That class is isomorphism-invariant, so it is decided
+    once per class, on its first member."""
     if kind in FORMATIONS:
-        return lambda tctx: member(tctx, kind)
-    if kind == "p_nilpotent":
+        pred = lambda tctx: member(tctx, kind)
+    elif kind == "p_nilpotent":
         if p is None:
             raise ValueError("p_nilpotent supplement class requires a prime p")
-        return lambda tctx: holds(tctx, "p_nilpotent", p)
-    raise ValueError(f"unknown supplement class: {kind!r}")
+        pred = lambda tctx: holds(tctx, "p_nilpotent", p)
+    else:
+        raise ValueError(f"unknown supplement class: {kind!r}")
+    return tuple(cls for cls in ctx.subgroup_classes()
+                 if pred(context_of(cls[0])))
 
 
 @memoized
@@ -137,13 +145,8 @@ def f_supplement(ctx: GroupContext, H: Group, kind: str,
     """
     G = ctx.group
     require_subgroup(H, G)
-    pred = _class_predicate(kind, p)
-    for cls in ctx.subgroup_classes():
-        rep = cls[0]
-        if H.order * rep.order < G.order:
-            continue
-        # the class predicate is isomorphism-invariant: decide it once
-        if not pred(context_of(rep)):
+    for cls in _classes_in(ctx, kind, p):
+        if H.order * cls[0].order < G.order:
             continue
         for T in cls:
             if ctx.product_size(H, T) == G.order:

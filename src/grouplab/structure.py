@@ -14,7 +14,6 @@ from typing import Optional
 
 from .context import GroupContext, context_of, memoized
 from .groups import Group
-from .perms import Permutation
 from .primes import is_prime, p_part, require_prime
 
 __all__ = [
@@ -44,17 +43,7 @@ class ChiefFactor:
 
 
 def derived_subgroup(ctx: GroupContext, K: Group) -> Group:
-    comms = [g.inverse() * h.inverse() * g * h
-             for g in K.generators for h in K.generators]
-    H = ctx.generated(comms) if comms else ctx.trivial_subgroup()
-    return ctx.normal_closure_in(K, H)
-
-
-def _commutator_subgroup(ctx: GroupContext, A: Group, B: Group) -> Group:
-    comms = [a.inverse() * b.inverse() * a * b
-             for a in A.generators for b in B.generators]
-    H = ctx.generated(comms) if comms else ctx.trivial_subgroup()
-    return ctx.normal_closure_in(ctx.group, H)
+    return ctx.commutator(K, K)
 
 
 def series(G: Group, kind: str) -> Series:
@@ -76,7 +65,7 @@ def series_of(ctx: GroupContext, kind: str) -> Series:
         return Series("chief", tuple(chain))
     steps = {
         "derived": lambda K: derived_subgroup(ctx, K),
-        "lower_central": lambda K: _commutator_subgroup(ctx, G, K),
+        "lower_central": lambda K: ctx.commutator(G, K),
         # the preimage of Z(G/K), K normal
         "upper_central": lambda K: ctx.chief_centralizer(K, G),
     }
@@ -122,10 +111,8 @@ def _p_nilpotent(ctx: GroupContext, p: int) -> bool:
 
 
 _PREDICATES = {
-    "abelian": lambda ctx, p: all(a * b == b * a for a in ctx.group.generators
-                                  for b in ctx.group.generators),
-    "cyclic": lambda ctx, p: any(e.order() == ctx.group.order
-                                 for e in ctx.group.elements()),
+    "abelian": lambda ctx, p: ctx.is_abelian(),
+    "cyclic": lambda ctx, p: ctx.is_cyclic(),
     # every Sylow subgroup normal, tested via |O_q| = q-part for each q
     "nilpotent": lambda ctx, p: holds(ctx, "abelian") or all(
         ctx.O_p(q).order == p_part(ctx.group.order, q) for q in ctx.primes()),
@@ -240,10 +227,7 @@ def layer(G: Group) -> Group:
 
 @memoized
 def layer_of(ctx: GroupContext) -> Group:
-    gens: list[Permutation] = []
-    for C in components_of(ctx):
-        gens.extend(C.generators)
-    return ctx.generated(gens) if gens else ctx.trivial_subgroup()
+    return ctx.generated([g for C in components_of(ctx) for g in C.generators])
 
 
 def generalized_fitting(G: Group) -> Group:
@@ -253,5 +237,4 @@ def generalized_fitting(G: Group) -> Group:
 
 @memoized
 def generalized_fitting_of(ctx: GroupContext) -> Group:
-    gens = list(ctx.fitting().generators) + list(layer_of(ctx).generators)
-    return ctx.generated(gens) if gens else ctx.trivial_subgroup()
+    return ctx.join(ctx.fitting(), layer_of(ctx))

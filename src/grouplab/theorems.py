@@ -122,25 +122,26 @@ def _quotient_p_nilpotent(ctx: GroupContext, E: Group, p: int) -> bool:
 def _direct_span_equals(ctx: GroupContext, parts: list[Group], whole: Group) -> bool:
     """Whether some subset of `parts` (normal subgroups) is an internal
     direct decomposition of `whole`: pairwise-trivial running intersections
-    and orders multiplying out.  Products of normal subgroups are subgroups,
-    so plain set products suffice."""
-    target = whole.element_set()
+    and orders multiplying out.  A product of normal subgroups is their
+    join, of order |A| |B| when A n B = 1."""
+    target = ctx.mask(whole)
 
-    def dfs(i: int, cur: frozenset) -> bool:
-        if len(cur) == len(target):
+    def dfs(i: int, cur: Group) -> bool:
+        if cur.order == whole.order:
             return True
         if i == len(parts):
             return False
         if dfs(i + 1, cur):
             return True
-        mset = parts[i].element_set()
-        if len(target) % (len(cur) * len(mset)) == 0 and len(cur & mset) == 1:
-            new = frozenset(d * m for d in cur for m in mset)
-            if len(new) == len(cur) * len(mset) and new <= target:
+        M = parts[i]
+        if whole.order % (cur.order * M.order) == 0 \
+                and (ctx.mask(cur) & ctx.mask(M)) == 1:
+            new = ctx.join(cur, M)
+            if not ctx.mask(new) & ~target:
                 return dfs(i + 1, new)
         return False
 
-    return dfs(0, ctx.trivial_subgroup().element_set())
+    return dfs(0, ctx.trivial_subgroup())
 
 
 def _semisimple_nonabelian(T: Group) -> bool:
@@ -308,11 +309,8 @@ def _enc_l23(ctx, params, wit):
             if H.order == 1 or prime_divisors(H.order) != (p,) \
                     or not _sperm(ctx, H):
                 continue
-            hset = H.element_set()
-            in_op = hset <= Op.element_set()
-            normalized = all(g.inverse() * h * g in hset
-                             for g in Oup.generators for h in H.generators)
-            yield in_op and normalized
+            in_op = not ctx.mask(H) & ~ctx.mask(Op)
+            yield in_op and ctx.normalizes(Oup, H)
 
 
 def _enc_l24(ctx, params, wit):
@@ -418,8 +416,7 @@ def _enc_l2125(ctx, params, wit):
     fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
     E = layer_of(ctx)
-    joined = ctx.generated(tuple(fit.generators) + tuple(E.generators))
-    ok = joined.key == fs.key
+    ok = ctx.generated(fit.generators + E.generators).key == fs.key
     ectx = context_of(E)
     ZE = ectx.center()
     ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()

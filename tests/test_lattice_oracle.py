@@ -78,7 +78,7 @@ def cyclic_subgroups(index: ElementIndex) -> dict[int, int]:
 @pytest.mark.parametrize("entry", LARGE, ids=[e.name for e in LARGE])
 def test_large_lattice_is_closed_under_cyclic_joins_and_conjugation(entry):
     G = entry.group
-    index = ElementIndex(G.elements())
+    index = ElementIndex(G.elements(), G.generators)
     subs = []
     for H in context_of(G).all_subgroups():
         positions = sorted(map(index.position, H.elements()))
@@ -118,12 +118,12 @@ def test_only_class_representatives_are_extended(monkeypatch):
     every subgroup takes thousands."""
     G = symmetric(5)
     classes = len(context_of(G).subgroup_classes())
-    index = ElementIndex(G.elements())
+    index = ElementIndex(G.elements(), G.generators)
     seeds = len(cyclic_subgroups(index)) - 1   # the trivial one is no seed
     calls = []
     extend = ElementIndex.extend
     monkeypatch.setattr(ElementIndex, "extend",
                         lambda *args: calls.append(1) or extend(*args))
-    found = index.subgroups([index.position(g) for g in G.generators])
+    found = index.subgroups()
     assert len(found) == 156
     assert 0 < len(calls) <= classes * seeds

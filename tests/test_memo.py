@@ -2,8 +2,11 @@
 decorated function and whose key is the argument tuple after the context.
 A repeated query returns the stored object, not a recomputation."""
 
+import pytest
+
+import grouplab.structure as structure
 from grouplab.catalog import builtin_group
-from grouplab.context import GroupContext, context_of, memoized
+from grouplab.context import GroupContext, clear_contexts, context_of, memoized
 from grouplab.formations import f_hypercenter, f_residual, hypercenter_preimage
 from grouplab.quasinormal import (
     f_supplement,
@@ -16,7 +19,12 @@ from grouplab.quasinormal import (
 )
 from grouplab.groups import from_elements
 from grouplab.perms import Permutation
-from grouplab.structure import generalized_fitting, holds
+from grouplab.structure import (
+    generalized_fitting,
+    holds,
+    is_soluble,
+    predicate,
+)
 
 
 def test_memoized_entry_points_return_the_stored_object(monkeypatch):
@@ -85,6 +93,38 @@ def test_memo_computes_once_per_table_and_key():
     assert first(GroupContext(builtin_group("symmetric(3)"))) is False
     assert runs[-1] == ("first",)
     assert len(runs) == 5
+
+
+def test_omitted_default_shares_the_entry_of_the_explicit_one():
+    """f(ctx, x) and f(ctx, x, default) are one memo entry; a call missing a
+    required argument is still a TypeError."""
+    runs = []
+
+    @memoized
+    def f(ctx, x, p=None):
+        runs.append((x, p))
+        return x
+
+    ctx = GroupContext(builtin_group("symmetric(3)"))
+    assert f(ctx, 1) == f(ctx, 1, None) == 1
+    assert f(ctx, 1, 2) == 1
+    assert runs == [(1, None), (1, 2)]
+    with pytest.raises(TypeError):
+        f(ctx)
+
+
+def test_predicate_door_and_is_x_door_share_one_entry(monkeypatch):
+    """is_soluble(G) and predicate(G, "soluble") run the check body once."""
+    clear_contexts()
+    runs = []
+    check = structure._PREDICATES["soluble"]
+    monkeypatch.setitem(structure._PREDICATES, "soluble",
+                        lambda ctx, p: runs.append(p) or check(ctx, p))
+    G = builtin_group("symmetric(4)")
+    assert is_soluble(G) and predicate(G, "soluble")
+    assert holds(context_of(G), "soluble", None)
+    assert runs == [None]
+    clear_contexts()
 
 
 def test_memoized_method_runs_once_per_subgroup():

@@ -3,11 +3,13 @@ quasinormality (two phrasings), formation supplements."""
 
 import pytest
 
+import grouplab.quasinormal as quasinormal
 from grouplab.catalog import builtin_group, symmetric
-from grouplab.context import context_of
+from grouplab.context import clear_contexts, context_of
 from grouplab.groups import set_product
 from grouplab.perms import from_cycles
 from grouplab.quasinormal import (
+    f_supplement,
     has_f_supplement,
     is_fs_quasinormal,
     is_fs_quasinormal_variant,
@@ -167,3 +169,21 @@ def test_fsq_invariant_under_conjugation():
     for cls in ctx.subgroup_classes():
         vals = {is_fs_quasinormal(G, H, "U").holds for H in cls}
         assert len(vals) == 1
+
+
+@pytest.mark.parametrize("kind, p", [("U", None), ("p_nilpotent", 2)])
+def test_supplement_class_is_decided_once_per_subgroup_class(monkeypatch,
+                                                             kind, p):
+    """f_supplement over all 30 subgroups of S4 asks for the context of at
+    most one representative of each of the 11 subgroup classes."""
+    clear_contexts()
+    ctx = context_of(symmetric(4))
+    subs = ctx.all_subgroups()
+    assert (len(subs), len(ctx.subgroup_classes())) == (30, 11)
+    calls = []
+    original = quasinormal.context_of
+    monkeypatch.setattr(quasinormal, "context_of",
+                        lambda G: calls.append(G) or original(G))
+    for H in subs:
+        f_supplement(ctx, H, kind, p)
+    assert 0 < len(calls) <= 11
