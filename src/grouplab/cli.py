@@ -168,13 +168,12 @@ def lattice(group, catalog_path):
         G = _resolve_group(group, catalog_path)
         ctx = context_of(G)
         classes = ctx.subgroup_classes()
-        nkeys = {N.key for N in ctx.normal_subgroups()}
         total = sum(len(c) for c in classes)
         click.echo(f"{total} subgroups in {len(classes)} conjugacy classes")
         for cls in classes:
             rep = cls[0]
             gens = ", ".join(to_cycles(g) for g in rep.generators) or "()"
-            flag = " normal" if rep.key in nkeys else ""
+            flag = " normal" if ctx.is_normal(rep) else ""
             click.echo(f"  order {rep.order:>4}  x{len(cls)}{flag}  <{gens}>")
         sys.exit(EXIT_PASS)
     except (CatalogError, ValueError) as exc:

@@ -13,58 +13,61 @@ that call them with ``context_of(G)``.  Contexts are created once per group
 and shared; all contained data is immutable after computation.
 
 Subgroups live in one registry per ambient group.  A root context, one made
-for a group that no registry produced, owns a registry that holds one
+for a group that no live registry produced, owns a registry that holds one
 :class:`Group` object per element set.  Every subgroup built in the root's
 tree goes into it, and ``context_of(H)`` for such a subgroup returns a
 context in the same tree: it shares the root's registry and reads its
-lattice off the root's.  No linking call is needed.  A quotient G/N is
-built once, by :meth:`GroupContext.coset_action`, from the element index's
-right-coset labels; its context is a root of its own unless another tree
-already holds its element set.
+lattice off the root's.  No linking call is needed.  A Group built outside
+every registry gets a root context of its own, even when a registry holds
+its element set (unless a context for that set is cached); so does a
+quotient G/N, built once by :meth:`GroupContext.coset_action` from the
+element index's right-coset labels.
 
 Each root also owns the element index of its group
 (:class:`~grouplab.cayley.ElementIndex`): every context in the tree closes
 subgroups on that index, as int masks, and the registry is keyed by mask.
-The root also keeps each registry subgroup's mask and sorted positions, so
-the section kernels (quotient images, conjugation of elements and
-subgroups, centralizers of chief factors, joins, intersections and HK = KH)
-read them off the index; permutations are only built where a subgroup enters
-or leaves it.
+A registry subgroup knows its place: the registry stamps it with the tree
+(a weak reference to the root), its mask and its sorted positions, so
+``ctx.mask(H)`` is an attribute read for it and an element lookup for any
+other Group.  The mask is a subgroup's identity in the analysis layers:
+``ctx.mask(H)`` is the one subgroup check, ``ctx.le(A, B)`` the one
+containment test, and equal masks are equal subgroups.  The section kernels
+(quotient images, conjugation of elements and subgroups, centralizers of
+chief factors, joins, intersections and HK = KH) read positions off the
+index; permutations are only built where a subgroup enters or leaves it.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from functools import wraps
 from typing import Callable, Iterable, Optional
 
 from .cayley import ElementIndex
 from .errors import NotASubgroupError, NotNormalError
-from .groups import Group, require_subgroup
+from .groups import Group
 from .perms import Permutation, identity
 from .primes import p_part, prime_divisors, require_prime
 
 _MISSING = object()
 
 _CONTEXTS: dict[tuple[int, frozenset], "GroupContext"] = {}
-# (degree, element set) of every registered subgroup -> the root context
-# whose registry holds it
-_ROOTS: dict[tuple[int, frozenset], "GroupContext"] = {}
 
 
 def context_of(G: Group) -> "GroupContext":
-    """The (cached) analysis context of G, in the tree of the registry that
-    holds G's element set, if any."""
+    """The cached context of G's element set: made in the tree of the
+    registry that built G while its root lives, otherwise as a root."""
     ck = (G.degree, G.key)
     ctx = _CONTEXTS.get(ck)
     if ctx is None:
-        ctx = _CONTEXTS[ck] = GroupContext(G, _ROOTS.get(ck))
+        root = G._place and G._place[0]()
+        ctx = _CONTEXTS[ck] = GroupContext(G, root)
     return ctx
 
 
 def clear_contexts() -> None:
     _CONTEXTS.clear()
-    _ROOTS.clear()
 
 
 def _is_power_of(n: int, p: int) -> bool:
@@ -112,24 +115,25 @@ class GroupContext:
     def __init__(self, G: Group, root: Optional["GroupContext"] = None):
         self.group = G
         # None in a root, so that no root refers to itself and each one is
-        # freed as soon as clear_contexts drops it.  A root's element index
-        # and registry, mask -> the tree's one Group with that element set,
-        # are shared by every context in its tree
+        # freed as soon as clear_contexts drops it.  Every context in a
+        # root's tree shares its element index, its registry (mask -> the
+        # tree's one Group with that element set) and its tree, the one weak
+        # reference to the root that each registry Group's place holds
         self._root = root
         if root is None:
             self._index = ElementIndex(G.elements(), G.generators)
+            self._tree = weakref.ref(self)
             whole = (1 << G.order) - 1
             self._registry: dict[int, Group] = {whole: G}
-            # element key -> (mask, sorted positions) of each registry subgroup
-            self._located: dict[frozenset, tuple[int, list[int]]] = {
-                G.key: (whole, list(range(G.order)))}
+            object.__setattr__(G, "_place",
+                               (self._tree, whole, list(range(G.order))))
         else:
             self._index = root._index
             self._registry = root._registry
-            self._located = root._located
+            self._tree = root._tree
         # the bits outside this context's group, which no subgroup it is
         # asked about may have; none in a root, whose index is its group
-        self._outside = 0 if root is None else ~self._located[G.key][0]
+        self._outside = 0 if root is None else ~G._place[1]
         # memoized function -> argument tuple -> value
         self._memo: defaultdict[Callable, dict] = defaultdict(dict)
 
@@ -150,23 +154,30 @@ class GroupContext:
             raise NotASubgroupError("a subgroup lies outside the ambient group")
         return mask
 
-    def _where(self, H: Group) -> tuple[int, list[int]]:
-        """(mask, sorted positions) of H, a subgroup of the ambient: a dict
-        read for a registry subgroup."""
-        found = self._located.get(H.key)
-        if found is None:
+    def _where(self, H: Group) -> tuple:
+        """H's place (tree, mask, sorted positions): read off H if this
+        tree's registry built it, else found by its elements.  Raises
+        NotASubgroupError unless H is a subgroup of this context's group."""
+        place = H._place
+        if place is None or place[0] is not self._tree:
             # elements in image-tuple order have increasing positions
             positions = self._at(H.elements())
-            found = self._index.mask(positions), positions
-        self._inside(found[0])
-        return found
+            place = None, self._index.mask(positions), positions
+        if place[1] & self._outside:
+            raise NotASubgroupError("a subgroup lies outside the ambient group")
+        return place
 
     def mask(self, H: Group) -> int:
-        return self._where(H)[0]
+        """H's mask; raises NotASubgroupError unless H is a subgroup."""
+        return self._where(H)[1]
 
     def positions(self, H: Group) -> list[int]:
         """H's element positions in increasing order; do not modify."""
-        return self._where(H)[1]
+        return self._where(H)[2]
+
+    def le(self, A: Group, B: Group) -> bool:
+        """A <= B, for subgroups A and B of this context's group."""
+        return not self._where(A)[1] & ~self._where(B)[1]
 
     def generated(self, elements) -> Group:
         """The tree's one Group object for the subgroup generated by these
@@ -185,19 +196,20 @@ class GroupContext:
         self._inside(mask)
         return H
 
-    def _group(self, mask: int, elems: list[int]) -> Group:
-        """The tree's Group for the subgroup with this mask and element
-        positions, built on first use with its greedy generators."""
+    def _group(self, mask: int, elems: Optional[list[int]] = None) -> Group:
+        """The tree's Group with this mask, built on first use with its
+        greedy generators and stamped with its place; elems, its positions
+        in any order, spares reading them off the mask."""
         H = self._registry.get(mask)
         if H is None:
-            elems = sorted(elems)
+            elems = sorted(elems) if elems is not None else [
+                i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
             at = self._index.elements
             H = self._registry[mask] = Group(
                 self.group.degree,
                 [at[i] for i in self._index.close(elems)[0]],
                 _skip_degree_check=True, _closure=[at[i] for i in elems])
-            self._located[H.key] = mask, elems
-            _ROOTS.setdefault((H.degree, H.key), self._root or self)
+            object.__setattr__(H, "_place", (self._tree, mask, elems))
         return H
 
     def greedy_generators(self, H: Group) -> list[Permutation]:
@@ -207,26 +219,18 @@ class GroupContext:
         return [at[i] for i in self._index.close(self.positions(H))[0]]
 
     def trivial_subgroup(self) -> Group:
-        return self._group(1, [0])
+        return self._group(1)
 
     @memoized
     def join(self, A: Group, B: Group) -> Group:
         """<A, B>: B's cosets extended by A's generators."""
-        bmask, bpos = self._where(B)
+        _, bmask, bpos = self._where(B)
         _, elems, mask = self._index.close(
             self._at(A.generators), self._at(B.generators), bpos, bmask)
         return self._group(self._inside(mask), elems)
 
-    def _cut(self, mask: int, within: list[int]) -> Group:
-        """The subgroup with this mask, whose elements lie at `within`."""
-        H = self._registry.get(mask)
-        if H is None:
-            H = self._group(mask, [i for i in within if mask >> i & 1])
-        return H
-
     def intersection(self, A: Group, B: Group) -> Group:
-        amask, apos = self._where(A)
-        return self._cut(amask & self.mask(B), apos)
+        return self._group(self.mask(A) & self.mask(B))
 
     def product_size(self, A: Group, B: Group) -> int:
         """|AB| = |A| |B| / |A n B|, by popcount."""
@@ -322,7 +326,7 @@ class GroupContext:
         worklist = [triv]
         while worklist:
             N = worklist.pop()
-            nmask, npos = self._where(N)
+            _, nmask, npos = self._where(N)
             ngens = self._at(N.generators)
             for cmask, cls in classes:
                 if not cmask & ~nmask:
@@ -337,9 +341,9 @@ class GroupContext:
 
     def minimal_normal_subgroups(self) -> tuple[Group, ...]:
         normals = [N for N in self.normal_subgroups() if N.order > 1]
-        masks = [self.mask(N) for N in normals]
-        return tuple(N for N, n in zip(normals, masks)
-                     if not any(m != n and not m & ~n for m in masks))
+        return tuple(N for N in normals
+                     if not any(M.order < N.order and self.le(M, N)
+                                for M in normals))
 
     def is_normal(self, H: Group) -> bool:
         """Whether H is a normal subgroup."""
@@ -384,13 +388,13 @@ class GroupContext:
         their first members.  A class is the orbit of its first member's mask
         under the generators' conjugation maps."""
         subs = self.all_subgroups()
-        rank = {m: r for r, (_, m) in enumerate(self._masked_lattice())}
+        rank = {self.mask(H): r for r, H in enumerate(subs)}
         conj = [self._index.conjugation(g)
                 for g in self._at(self.group.generators)]
         seen: set[int] = set()
         classes = []
         for H in subs:
-            hmask, hpos = self._where(H)
+            _, hmask, hpos = self._where(H)
             if hmask in seen:
                 continue
             orbit = self._index.orbit(hpos, conj)
@@ -400,32 +404,26 @@ class GroupContext:
         return tuple(classes)
 
     @memoized
-    def _masked_lattice(self) -> list[tuple[Group, int]]:
-        return [(H, self.mask(H)) for H in self.all_subgroups()]
-
     def subgroups_of(self, K: Group) -> tuple[Group, ...]:
-        kmask = self.mask(K)
-        return tuple(H for H, m in self._masked_lattice() if not m & ~kmask)
+        return tuple(H for H in self.all_subgroups() if self.le(H, K))
 
     @memoized
     def maximal_subgroups_of(self, K: Group) -> tuple[Group, ...]:
         """Maximal proper subgroups of K, read off the ambient lattice."""
-        subs = [(H, self.mask(H)) for H in self.subgroups_of(K)
-                if H.order < K.order]
-        return tuple(H for H, h in subs
-                     if not any(m != h and not h & ~m for _, m in subs))
+        subs = [H for H in self.subgroups_of(K) if H.order < K.order]
+        return tuple(H for H in subs
+                     if not any(H.order < M.order and self.le(H, M)
+                                for M in subs))
 
     def n_maximal_subgroups_of(self, K: Group, n: int) -> tuple[Group, ...]:
         if n < 1:
             raise ValueError("n must be >= 1")
-        level = {K.key: K}
+        level = [K]
         for _ in range(n):
-            nxt: dict[frozenset, Group] = {}
-            for H in level.values():
-                for M in self.maximal_subgroups_of(H):
-                    nxt[M.key] = M
-            level = nxt
-        return tuple(sorted(level.values(), key=subgroup_sort_key))
+            # mask -> subgroup: a subgroup maximal in two members counts once
+            level = list({self.mask(M): M for H in level
+                          for M in self.maximal_subgroups_of(H)}.values())
+        return tuple(sorted(level, key=subgroup_sort_key))
 
     # ------------------------------------------------------------------
     # Sylow and Hall subgroups
@@ -477,7 +475,7 @@ class GroupContext:
         mask = self.mask(self.group)
         for M in maxima:
             mask &= self.mask(M)
-        return self._cut(mask, self.positions(self.group))
+        return self._group(mask)
 
     def O_p(self, p: int) -> Group:
         # a normal subgroup of order 1 counts as a p-group here
@@ -517,23 +515,19 @@ class GroupContext:
 
     @memoized
     def core(self, H: Group) -> Group:
-        """Largest subgroup of H normal in the ambient group."""
-        require_subgroup(H, self.group)
-        hmask = self.mask(H)
-        best = self.trivial_subgroup()
-        for N in self.normal_subgroups():
-            if N.order > best.order and not self.mask(N) & ~hmask:
-                best = N
-        return best
+        """Largest subgroup of H normal in the ambient group: the first of
+        the largest normal subgroups inside H."""
+        return max((N for N in self.normal_subgroups() if self.le(N, H)),
+                   key=lambda N: N.order)
 
     @memoized
     def is_subnormal(self, H: Group) -> tuple[bool, int]:
-        require_subgroup(H, self.group)
+        hmask = self.mask(H)
         K = self.group
         defect = 0
-        while K.key != H.key:
+        while self.mask(K) != hmask:
             N = self.normal_closure(K, self._at(H.generators))
-            if N.key == K.key:
+            if self.mask(N) == self.mask(K):
                 return False, defect
             K = N
             defect += 1
@@ -599,17 +593,11 @@ class GroupContext:
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""
-        normals = [(N, self.mask(N)) for N in self.normal_subgroups()]
-        pairs = []
-        for K, k in normals:
-            for H, h in normals:
-                if H.order <= K.order or k & ~h:
-                    continue
-                if any(m != k and m != h and not k & ~m and not m & ~h
-                       for _, m in normals):
-                    continue
-                pairs.append((K, H))
-        return tuple(pairs)
+        normals = self.normal_subgroups()
+        return tuple((K, H) for K in normals for H in normals
+                     if K.order < H.order and self.le(K, H) and not any(
+                         K.order < M.order < H.order
+                         and self.le(K, M) and self.le(M, H) for M in normals))
 
     def _coset_labels(self, L: Group) -> list[int]:
         """label[i] names the right coset L x of the element x at position i

@@ -68,11 +68,9 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
         return is_prime(forder)
     if formation == "S":
         # the factor is abelian exactly when upper centralizes it
-        cmask = ctx.mask(cf.centralizer)
-        if ctx.mask(cf.upper) & ~cmask:
-            return False
-        return any(not ctx.mask(term) & ~cmask
-                   for term in series_of(ctx, "derived").chain)
+        C = cf.centralizer
+        return ctx.le(cf.upper, C) and any(
+            ctx.le(term, C) for term in series_of(ctx, "derived").chain)
     raise ValueError(f"unknown formation: {formation!r}")
 
 
@@ -132,12 +130,13 @@ def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
     """
     if not ctx.is_normal(Z):
         raise NotNormalError("N is not a normal subgroup of G")
-    pairs = ctx.chief_pairs()
+    covers = [(ctx.mask(lower), M) for lower, M in ctx.chief_pairs()]
     while True:
         gens = list(Z.generators)
         grew = False
-        for lower, M in pairs:
-            if lower.key != Z.key:
+        zmask = ctx.mask(Z)
+        for lmask, M in covers:
+            if lmask != zmask:
                 continue
             cf = ChiefFactor(upper=M, lower=Z,
                              centralizer=ctx.chief_centralizer(Z, M),
@@ -160,23 +159,19 @@ def residual(ctx: GroupContext, formation: str) -> Group:
     qualifying = [N for N in ctx.normal_subgroups()
                   if quotient_in_formation(ctx, N, formation)]
     best = min(qualifying, key=subgroup_sort_key)
-    bset = best.element_set()
-    if not all(bset <= N.element_set() for N in qualifying):
+    if not all(ctx.le(best, N) for N in qualifying):
         raise AssertionError("residual is not unique")  # pragma: no cover
     return best
 
 
 def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
     """G/N in F, without constructing the quotient group."""
-    nset = N.element_set()
     if formation == "S":
-        return any(t.element_set() <= nset
-                   for t in series_of(ctx, "derived").chain)
+        return any(ctx.le(t, N) for t in series_of(ctx, "derived").chain)
     if formation == "N":
-        return any(t.element_set() <= nset
-                   for t in series_of(ctx, "lower_central").chain)
+        return any(ctx.le(t, N) for t in series_of(ctx, "lower_central").chain)
     if formation == "U":
         return all(is_prime(upper.order // lower.order)
                    for lower, upper in ctx.chief_pairs()
-                   if nset <= lower.element_set())
+                   if ctx.le(N, lower))
     raise ValueError(f"unknown formation: {formation!r}")

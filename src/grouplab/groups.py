@@ -46,8 +46,10 @@ _images = attrgetter("images")
 class Group:
     """Immutable permutation group: its generators and its element set."""
 
+    # _place: (tree, mask, positions) of a subgroup that a context registry
+    # built, set by grouplab.context; None otherwise
     __slots__ = ("degree", "generators", "order", "_elements", "_element_set",
-                 "_key", "_hash")
+                 "_key", "_hash", "_place")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER,
@@ -72,6 +74,7 @@ class Group:
         object.__setattr__(self, "_element_set", frozenset(elems))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_place", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Group is immutable")
@@ -158,12 +161,6 @@ class SetProductResult:
     commutes: bool
 
 
-def require_subgroup(H: Group, ambient: Group, name: str = "H") -> None:
-    """Raise NotASubgroupError unless H is a subgroup of ambient."""
-    if not H.is_subgroup_of(ambient):
-        raise NotASubgroupError(f"{name} is not a subgroup of the ambient group")
-
-
 def set_product(H: Group, K: Group, ambient: Group) -> SetProductResult:
     """The set HK: its size, whether HK = KH, and whether HK is a subgroup.
 
@@ -171,8 +168,10 @@ def set_product(H: Group, K: Group, ambient: Group) -> SetProductResult:
     equivalence is_subgroup <=> commutes is asserted by the property suite,
     not assumed here.
     """
-    require_subgroup(H, ambient)
-    require_subgroup(K, ambient, "K")
+    for name, S in (("H", H), ("K", K)):
+        if not S.is_subgroup_of(ambient):
+            raise NotASubgroupError(
+                f"{name} is not a subgroup of the ambient group")
     h_elems = H.elements()
     k_elems = K.elements()
     hk = {h * k for h in h_elems for k in k_elems}

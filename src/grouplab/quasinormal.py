@@ -13,7 +13,7 @@ from typing import Optional
 
 from .context import GroupContext, context_of, memoized
 from .formations import FORMATIONS, hypercenter, member
-from .groups import Group, require_subgroup
+from .groups import Group
 from .structure import holds
 
 __all__ = [
@@ -63,8 +63,8 @@ def has_f_supplement(G: Group, H: Group, kind: str,
     return f_supplement(context_of(G), H, kind, p)
 
 
-# Each scan validates H on a memo miss only: a hit is an equal subgroup,
-# validated against this ambient before.
+# Each scan validates H, by ctx.mask(H), on a memo miss only: a hit is an
+# equal subgroup, validated against this ambient before.
 
 
 @memoized
@@ -75,8 +75,7 @@ def s_permutable(ctx: GroupContext, H: Group) -> Verdict:
     is all Sylow p-subgroups.  The failure witness is the first non-permuting
     Sylow subgroup in deterministic order.
     """
-    require_subgroup(H, ctx.group)
-    if ctx.is_normal(H):
+    if ctx.normalizes(ctx.group, H):
         return Verdict(True, detail="normal subgroup")
     for p in ctx.primes():
         sylows = ctx.sylow_all(p)
@@ -95,9 +94,8 @@ def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
     """Whether H is F_s-quasinormal in ctx's group, by an exhaustive scan over
     normal subgroups T in deterministic (ascending) order; the witness is the
     smallest qualifying T.  The variant only scans T containing H_G."""
-    require_subgroup(H, ctx.group)
-    core = ctx.core(H)
     hmask = ctx.mask(H)
+    core = ctx.core(H)
     cmask = ctx.mask(core)
     # the elements of G whose image lies in Z_inf^F(G/H_G); read on demand
     wmask = None
@@ -144,7 +142,7 @@ def f_supplement(ctx: GroupContext, H: Group, kind: str,
     conjugation-invariant in T for fixed H), pruned by |H|*|T| >= |G|.
     """
     G = ctx.group
-    require_subgroup(H, G)
+    ctx.mask(H)
     for cls in _classes_in(ctx, kind, p):
         if H.order * cls[0].order < G.order:
             continue

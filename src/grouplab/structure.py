@@ -59,9 +59,9 @@ def series_of(ctx: GroupContext, kind: str) -> Series:
         pairs = ctx.chief_pairs()
         while chain[-1].order < G.order:
             # the covers of a term come in subgroup_sort_key order
-            key = chain[-1].key
+            mask = ctx.mask(chain[-1])
             chain.append(next(upper for lower, upper in pairs
-                              if lower.key == key))
+                              if ctx.mask(lower) == mask))
         return Series("chief", tuple(chain))
     steps = {
         "derived": lambda K: derived_subgroup(ctx, K),

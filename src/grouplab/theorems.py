@@ -77,7 +77,8 @@ def _gens_json(ctx: GroupContext, G: Group, H: Group) -> dict:
     """H's order and generators.  These depend only on H and on G, the group
     passed to verify_case, whose context is ctx: G's own generators for
     H = G, otherwise the greedy generators of H's sorted element set."""
-    gens = G.generators if H == G else ctx.greedy_generators(H)
+    gens = (G.generators if ctx.mask(H) == ctx.mask(G)
+            else ctx.greedy_generators(H))
     return {"order": H.order,
             "generators": [to_cycles(g) for g in gens] or ["()"]}
 
@@ -114,8 +115,7 @@ def _quotient_p_nilpotent(ctx: GroupContext, E: Group, p: int) -> bool:
     """G/E has a normal p-complement, decided on the normal list of G."""
     index = ctx.group.order // E.order
     target = index // p_part(index, p)
-    eset = E.element_set()
-    return any(K.order == E.order * target and eset <= K.element_set()
+    return any(K.order == E.order * target and ctx.le(E, K)
                for K in ctx.normal_subgroups())
 
 
@@ -124,8 +124,6 @@ def _direct_span_equals(ctx: GroupContext, parts: list[Group], whole: Group) -> 
     direct decomposition of `whole`: pairwise-trivial running intersections
     and orders multiplying out.  A product of normal subgroups is their
     join, of order |A| |B| when A n B = 1."""
-    target = ctx.mask(whole)
-
     def dfs(i: int, cur: Group) -> bool:
         if cur.order == whole.order:
             return True
@@ -137,7 +135,7 @@ def _direct_span_equals(ctx: GroupContext, parts: list[Group], whole: Group) -> 
         if whole.order % (cur.order * M.order) == 0 \
                 and (ctx.mask(cur) & ctx.mask(M)) == 1:
             new = ctx.join(cur, M)
-            if not ctx.mask(new) & ~target:
+            if ctx.le(new, whole):
                 return dfs(i + 1, new)
         return False
 
@@ -199,10 +197,10 @@ def _fstar(H: Group) -> Group:
 
 
 def _fstar_images(ctx: GroupContext, N: Group,
-                  fs_g: Group) -> tuple[Group, Group]:
-    """The image of F*(G) = fs_g in G/N, and F*(G/N)."""
-    return (ctx.quotient_image(N, fs_g),
-            generalized_fitting_of(ctx.quotient_ctx(N)))
+                  fs_g: Group) -> tuple[GroupContext, Group, Group]:
+    """The context of G/N, the image of F*(G) = fs_g in G/N, and F*(G/N)."""
+    qctx = ctx.quotient_ctx(N)
+    return qctx, ctx.quotient_image(N, fs_g), generalized_fitting_of(qctx)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +239,11 @@ def _hereditary(pred, containers):
 def _corresponds(pred):
     """Correspondence: pred(K/N) in G/N iff pred(K) in G, for N <= K."""
     def encode(ctx, params, wit):
+        subs = ctx.all_subgroups()
         for N in ctx.normal_subgroups():
             qctx = ctx.quotient_ctx(N)
-            nset = N.element_set()
-            for K in ctx.all_subgroups():
-                if nset <= K.element_set():
+            for K in subs:
+                if ctx.le(N, K):
                     yield (pred(qctx, ctx.quotient_image(N, K), params),
                            pred(ctx, K, params))
     return encode
@@ -309,15 +307,14 @@ def _enc_l23(ctx, params, wit):
             if H.order == 1 or prime_divisors(H.order) != (p,) \
                     or not _sperm(ctx, H):
                 continue
-            in_op = not ctx.mask(H) & ~ctx.mask(Op)
-            yield in_op and ctx.normalizes(Oup, H)
+            yield ctx.le(H, Op) and ctx.normalizes(Oup, H)
 
 
 def _enc_l24(ctx, params, wit):
     for A in _class_reps(ctx):
         if A.order > 1 and ctx.is_subnormal(A)[0]:
             pi = prime_divisors(A.order)
-            yield A.element_set() <= ctx.O_pi(pi).element_set()
+            yield ctx.le(A, ctx.O_pi(pi))
 
 
 def _enc_l25(ctx, params, wit):
@@ -326,9 +323,8 @@ def _enc_l25(ctx, params, wit):
     for N in ctx.normal_subgroups():
         if N.order == 1:
             continue
-        nset = N.element_set()
-        if is_nilpotent(N) and len(nset & phi.element_set()) == 1:
-            inside = [M for M in mins if M.element_set() <= nset]
+        if is_nilpotent(N) and (ctx.mask(N) & ctx.mask(phi)) == 1:
+            inside = [M for M in mins if ctx.le(M, N)]
             yield _direct_span_equals(ctx, inside, N)
 
 
@@ -383,43 +379,47 @@ def _enc_l211(ctx, params, wit):
 
 
 def _enc_l2121(ctx, params, wit):
-    fset = generalized_fitting_of(ctx).element_set()
+    fs = generalized_fitting_of(ctx)
     for N in ctx.normal_subgroups():
-        yield _fstar(N).element_set() <= fset
+        yield ctx.le(_fstar(N), fs)
 
 
 def _enc_l2122(ctx, params, wit):
     fs_g = generalized_fitting_of(ctx)
     for N in ctx.normal_subgroups():
-        if N.element_set() <= fs_g.element_set():
-            img, fs_q = _fstar_images(ctx, N, fs_g)
-            yield img.element_set() <= fs_q.element_set()
+        if ctx.le(N, fs_g):
+            qctx, img, fs_q = _fstar_images(ctx, N, fs_g)
+            yield qctx.le(img, fs_q)
 
 
 def _enc_l2123(ctx, params, wit):
     fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
-    ok = fit.element_set() <= fs.element_set()
-    ok = ok and _fstar(fs).key == fs.key
+    ok = ctx.le(fit, fs) and ctx.mask(_fstar(fs)) == ctx.mask(fs)
     if is_soluble(fs):
-        ok = ok and fs.key == fit.key
+        ok = ok and ctx.mask(fs) == ctx.mask(fit)
     yield ok
 
 
 def _enc_l2124(ctx, params, wit):
     cent = ctx.chief_centralizer(ctx.trivial_subgroup(),
                                  generalized_fitting_of(ctx))
-    yield cent.element_set() <= ctx.fitting().element_set()
+    yield ctx.le(cent, ctx.fitting())
 
 
 def _enc_l2125(ctx, params, wit):
-    fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
     E = layer_of(ctx)
-    ok = ctx.generated(fit.generators + E.generators).key == fs.key
+    # F*(G) = F(G)E(G), checked against the elements that induce inner
+    # automorphisms on every chief factor H/K: the intersection of the
+    # H C_G(H/K) (Huppert & Blackburn, Finite Groups III, ch. X)
+    inner = ctx.mask(ctx.group)
+    for K, H in ctx.chief_pairs():
+        inner &= ctx.mask(ctx.join(H, ctx.chief_centralizer(K, H)))
+    ok = inner == ctx.mask(generalized_fitting_of(ctx))
     ectx = context_of(E)
     ZE = ectx.center()
-    ok = ok and (fit.element_set() & E.element_set()) == ZE.element_set()
+    ok = ok and (ctx.mask(fit) & ctx.mask(E)) == ctx.mask(ZE)
     yield ok and (E.order == ZE.order
                   or _semisimple_nonabelian(ectx.quotient_ctx(ZE).group))
 
@@ -428,18 +428,19 @@ def _enc_l2131(ctx, params, wit):
     fs_g = generalized_fitting_of(ctx)
     for H in ctx.normal_subgroups():
         if is_soluble(H):
-            img, fs_q = _fstar_images(ctx, context_of(H).frattini(), fs_g)
-            yield img.key == fs_q.key
+            qctx, img, fs_q = _fstar_images(ctx, context_of(H).frattini(),
+                                            fs_g)
+            yield qctx.mask(img) == qctx.mask(fs_q)
 
 
 def _enc_l2132(ctx, params, wit):
     fs_g = generalized_fitting_of(ctx)
-    zset = ctx.center().element_set()
+    Z = ctx.center()
     for K in ctx.normal_subgroups():
         if K.order > 1 and len(prime_divisors(K.order)) == 1 \
-                and K.element_set() <= zset:
-            img, fs_q = _fstar_images(ctx, K, fs_g)
-            yield img.key == fs_q.key
+                and ctx.le(K, Z):
+            qctx, img, fs_q = _fstar_images(ctx, K, fs_g)
+            yield qctx.mask(img) == qctx.mask(fs_q)
 
 
 def _enc_l31(ctx, params, wit):
@@ -483,7 +484,7 @@ def _enc_t32(ctx, params, wit):
                 for A in ac:
                     for B in bc:
                         if ctx.product_size(A, B) == G.order and \
-                                (A.key, B.key) != (G.key, triv.key):
+                                (ctx.mask(A), ctx.mask(B)) != (ctx.mask(G), 1):
                             pairs.append((A, B))
     concl = holds(ctx, "supersoluble")
     for A, B in pairs:

@@ -8,7 +8,7 @@ feed verify_case encoders whose answers are known.
 import pytest
 
 import _section_oracle as oracle
-from grouplab import theorems
+from grouplab import structure, theorems
 from grouplab.catalog import builtin_group, core_catalog_path, load_catalog
 from grouplab.context import clear_contexts, context_of
 from grouplab.theorems import verify_case
@@ -99,3 +99,20 @@ def test_quotient_image_is_the_quotient_lattice_member():
                 checked += 1
     clear_contexts()
     assert checked > 10000
+
+
+def test_l2125_fails_when_the_layer_is_wrong(monkeypatch):
+    """L2.12.5 checks F(G)E(G) against the elements that act as inner
+    automorphisms on every chief factor, so a layer computed as trivial
+    fails it on A5 x C2, where F*(G) is G and F(G) is C2."""
+    G = builtin_group("direct(alternating(5),cyclic(2))")
+    clear_contexts()
+    assert verify_case(G, "L2.12.5", {}).verdict == "pass"
+    clear_contexts()
+    trivial = lambda ctx: ctx.trivial_subgroup()
+    monkeypatch.setattr(structure, "layer_of", trivial)
+    monkeypatch.setattr(theorems, "layer_of", trivial)
+    try:
+        assert verify_case(G, "L2.12.5", {}).verdict == "fail"
+    finally:
+        clear_contexts()

@@ -1,17 +1,24 @@
 """One subgroup registry per ambient group: a subgroup's context shares the
-ambient's registry and lattice without any linking call."""
+ambient's registry and lattice without any linking call, and a registry
+subgroup knows its place in it."""
 
+import ast
 import gc
 import inspect
+import pathlib
 import sys
 import weakref
 
 import pytest
 
+import grouplab
 import grouplab.context as context
 import grouplab.groups as groups
-from grouplab.catalog import builtin_group, symmetric
+from grouplab.catalog import alternating, builtin_group, symmetric
 from grouplab.context import clear_contexts, context_of
+from grouplab.groups import Group
+from grouplab.perms import from_cycles
+from grouplab.quasinormal import f_supplement, fs_quasinormal, s_permutable
 from grouplab.theorems import THEOREM_IDS, params_for, verify_case
 
 
@@ -125,3 +132,69 @@ def test_clear_contexts_frees_a_root_without_the_cyclic_gc():
         assert root() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["symmetric(4)",
+                                  "direct(alternating(5),cyclic(2))"])
+def test_a_group_built_outside_the_registry_is_found_by_its_elements(name):
+    """A Group with a registry subgroup's elements but no place gets the
+    same mask and positions, and the same verdicts in a fresh session."""
+    G = builtin_group(name)
+    ctx = context_of(G)
+    subs = ctx.all_subgroups()
+    copies = [Group(H.degree, H.generators) for H in subs]
+    for H, C in zip(subs, copies):
+        assert C._place is None
+        assert ctx.mask(C) == ctx.mask(H)
+        assert ctx.positions(C) == ctx.positions(H)
+
+    def verdicts(members):
+        gctx = context_of(G)
+        return [(s_permutable(gctx, H), fs_quasinormal(gctx, H, "U", False),
+                 f_supplement(gctx, H, "U", None)) for H in members]
+
+    want = verdicts(subs)
+    clear_contexts()
+    assert verdicts(copies) == want
+
+
+def test_a_subgroup_from_another_tree_is_found_by_its_elements():
+    """A place is read only in the tree that stamped it."""
+    actx = context_of(alternating(4))
+    outer = {H.key: H for H in context_of(symmetric(4)).all_subgroups()}
+    for H in actx.all_subgroups():
+        assert actx.mask(outer[H.key]) == actx.mask(H)
+        assert actx.positions(outer[H.key]) == actx.positions(H)
+
+
+def test_a_group_built_outside_every_registry_is_a_root():
+    S4 = symmetric(4)
+    H = context_of(S4).generated([from_cycles("(1 2 3)", 4)])
+    assert context_of(Group(4, H.generators))._root is None
+
+
+def _identity_reads(module: str) -> list[tuple[str, str]]:
+    """(innermost function, attribute) of each .key and .element_set read
+    in a grouplab module."""
+    path = pathlib.Path(grouplab.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text())
+    owner = {}
+    # ast.walk is breadth first, so an inner function overwrites its outer
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return [(owner.get(node, "<module>"), node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("key", "element_set")]
+
+
+@pytest.mark.parametrize("module", ["structure", "formations", "quasinormal",
+                                    "theorems", "cli"])
+def test_analysis_layers_compare_subgroups_by_mask(module):
+    assert _identity_reads(module) == []
+
+
+def test_context_reads_element_keys_only_to_find_a_context():
+    assert {fn for fn, attr in _identity_reads("context")
+            if attr == "key"} == {"context_of"}
