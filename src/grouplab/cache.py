@@ -104,7 +104,7 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             raise CacheError(f"{path}: group mismatch")
         count = int(fields["count"])
         subs = []
-        keys = set()
+        masks = set()
         elems = G.elements()
         ctx = context_of(G)   # closes each line on G's element index
         for line in lines[5:]:
@@ -114,12 +114,12 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             if kw != "sub":
                 raise CacheError(f"{path}: unexpected line {line!r}")
             members = [elems[int(i)] for i in rest.split()]
-            H = ctx.subgroup(members)
+            H = ctx.generated(members)
             if H.order != len(members):
                 raise CacheError(f"{path}: {line!r} is not a subgroup")
-            if H.key in keys:
+            if ctx.mask(H) in masks:
                 raise CacheError(f"{path}: {line!r} repeats a subgroup")
-            keys.add(H.key)
+            masks.add(ctx.mask(H))
             subs.append(H)
         if len(subs) != count:
             raise CacheError(f"{path}: expected {count} subgroups, found {len(subs)}")

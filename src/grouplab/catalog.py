@@ -391,6 +391,8 @@ def load_catalog(path) -> Catalog:
                 err(lineno, f"missing 'end' before new group {rest!r}")
             if not rest:
                 err(lineno, "group requires a name")
+            if any(e.name == rest for e in entries):
+                err(lineno, f"repeated group name {rest!r}")
             cur = {"name": rest, "degree": None, "gens": [],
                    "order": None, "line": lineno}
         elif cur is None:

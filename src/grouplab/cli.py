@@ -71,11 +71,6 @@ def _parse_subgroup(G: Group, text: str) -> Group:
     return context_of(G).generated(gens)
 
 
-def _fail_usage(msg: str):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(EXIT_USAGE)
-
-
 @click.group()
 def main():
     """Finite-group computations: subgroup permutability and verification."""
@@ -87,32 +82,26 @@ def main():
               type=click.Path(exists=True), help="Look up GROUP in this catalog.")
 def info(group, catalog_path):
     """Order, structural predicates, series and named subgroups of GROUP."""
-    try:
-        G = _resolve_group(group, catalog_path)
-        ctx = context_of(G)
-        click.echo(f"group    {group}")
-        click.echo(f"degree   {G.degree}")
-        click.echo(f"order    {G.order}")
-        preds = [("abelian", is_abelian(G)), ("cyclic", is_cyclic(G)),
-                 ("nilpotent", is_nilpotent(G)),
-                 ("supersoluble", is_supersoluble(G)),
-                 ("soluble", is_soluble(G)), ("simple", is_simple(G))]
-        click.echo("props    " + ", ".join(n for n, v in preds if v))
-        click.echo(f"center   order {ctx.center().order}")
-        click.echo(f"fitting  order {ctx.fitting().order}")
-        click.echo(f"frattini order {ctx.frattini().order}")
-        dser = series(G, "derived")
-        click.echo("derived series orders  " +
-                   " > ".join(str(t.order) for t in dser.chain))
-        lser = series(G, "lower_central")
-        click.echo("lower central orders   " +
-                   " > ".join(str(t.order) for t in lser.chain))
-        sys.exit(EXIT_PASS)
-    except (CatalogError, ValueError) as exc:
-        _fail_usage(str(exc))
-    except BoundExceededError as exc:
-        click.echo(f"bound exceeded: {exc}", err=True)
-        sys.exit(EXIT_BOUND)
+    G = _resolve_group(group, catalog_path)
+    ctx = context_of(G)
+    click.echo(f"group    {group}")
+    click.echo(f"degree   {G.degree}")
+    click.echo(f"order    {G.order}")
+    preds = [("abelian", is_abelian(G)), ("cyclic", is_cyclic(G)),
+             ("nilpotent", is_nilpotent(G)),
+             ("supersoluble", is_supersoluble(G)),
+             ("soluble", is_soluble(G)), ("simple", is_simple(G))]
+    click.echo("props    " + ", ".join(n for n, v in preds if v))
+    click.echo(f"center   order {ctx.center().order}")
+    click.echo(f"fitting  order {ctx.fitting().order}")
+    click.echo(f"frattini order {ctx.frattini().order}")
+    dser = series(G, "derived")
+    click.echo("derived series orders  " +
+               " > ".join(str(t.order) for t in dser.chain))
+    lser = series(G, "lower_central")
+    click.echo("lower central orders   " +
+               " > ".join(str(t.order) for t in lser.chain))
+    sys.exit(EXIT_PASS)
 
 
 @main.command()
@@ -130,32 +119,26 @@ def info(group, catalog_path):
               type=click.Path(exists=True))
 def check(kind, group_name, subgroup_text, formation, prime, catalog_path):
     """Decide a permutability/supplement property of a subgroup."""
-    try:
-        G = _resolve_group(group_name, catalog_path)
-        H = _parse_subgroup(G, subgroup_text)
-        if kind == "s-perm":
-            v = is_s_permutable(G, H)
-        elif kind == "fsq":
-            v = is_fs_quasinormal(G, H, formation)
+    G = _resolve_group(group_name, catalog_path)
+    H = _parse_subgroup(G, subgroup_text)
+    if kind == "s-perm":
+        v = is_s_permutable(G, H)
+    elif kind == "fsq":
+        v = is_fs_quasinormal(G, H, formation)
+    else:
+        if prime is not None:
+            v = has_f_supplement(G, H, "p_nilpotent", prime)
         else:
-            if prime is not None:
-                v = has_f_supplement(G, H, "p_nilpotent", prime)
-            else:
-                v = has_f_supplement(G, H, formation)
-        click.echo(f"subgroup order {H.order} in group of order {G.order}")
-        click.echo(f"result   {'holds' if v.holds else 'fails'}")
-        if v.witness is not None:
-            gens = ", ".join(to_cycles(g) for g in v.witness.generators) or "()"
-            click.echo(f"witness  {v.witness_kind}: order "
-                       f"{v.witness.order}, <{gens}>")
-        if v.detail:
-            click.echo(f"note     {v.detail}")
-        sys.exit(EXIT_PASS if v.holds else EXIT_FAIL)
-    except (CatalogError, ValueError) as exc:
-        _fail_usage(str(exc))
-    except BoundExceededError as exc:
-        click.echo(f"bound exceeded: {exc}", err=True)
-        sys.exit(EXIT_BOUND)
+            v = has_f_supplement(G, H, formation)
+    click.echo(f"subgroup order {H.order} in group of order {G.order}")
+    click.echo(f"result   {'holds' if v.holds else 'fails'}")
+    if v.witness is not None:
+        gens = ", ".join(to_cycles(g) for g in v.witness.generators) or "()"
+        click.echo(f"witness  {v.witness_kind}: order "
+                   f"{v.witness.order}, <{gens}>")
+    if v.detail:
+        click.echo(f"note     {v.detail}")
+    sys.exit(EXIT_PASS if v.holds else EXIT_FAIL)
 
 
 @main.command()
@@ -164,23 +147,17 @@ def check(kind, group_name, subgroup_text, formation, prime, catalog_path):
               type=click.Path(exists=True))
 def lattice(group, catalog_path):
     """Conjugacy classes of subgroups of GROUP."""
-    try:
-        G = _resolve_group(group, catalog_path)
-        ctx = context_of(G)
-        classes = ctx.subgroup_classes()
-        total = sum(len(c) for c in classes)
-        click.echo(f"{total} subgroups in {len(classes)} conjugacy classes")
-        for cls in classes:
-            rep = cls[0]
-            gens = ", ".join(to_cycles(g) for g in rep.generators) or "()"
-            flag = " normal" if ctx.is_normal(rep) else ""
-            click.echo(f"  order {rep.order:>4}  x{len(cls)}{flag}  <{gens}>")
-        sys.exit(EXIT_PASS)
-    except (CatalogError, ValueError) as exc:
-        _fail_usage(str(exc))
-    except BoundExceededError as exc:
-        click.echo(f"bound exceeded: {exc}", err=True)
-        sys.exit(EXIT_BOUND)
+    G = _resolve_group(group, catalog_path)
+    ctx = context_of(G)
+    classes = ctx.subgroup_classes()
+    total = sum(len(c) for c in classes)
+    click.echo(f"{total} subgroups in {len(classes)} conjugacy classes")
+    for cls in classes:
+        rep = cls[0]
+        gens = ", ".join(to_cycles(g) for g in rep.generators) or "()"
+        flag = " normal" if ctx.is_normal(rep) else ""
+        click.echo(f"  order {rep.order:>4}  x{len(cls)}{flag}  <{gens}>")
+    sys.exit(EXIT_PASS)
 
 
 @main.command()
@@ -202,8 +179,8 @@ def verify(catalog_path, theorems, jobs, report_path):
             click.echo(f"warning: {w}", err=True)
         ids = select_theorems(theorems)
     except (CatalogError, ValueError, OSError) as exc:
-        _fail_usage(str(exc))
-        return
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     report = run_suite(cat, ids, jobs=jobs)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -254,7 +231,7 @@ def entry() -> None:  # console-script target
     except BoundExceededError as exc:
         click.echo(f"bound exceeded: {exc}", err=True)
         sys.exit(EXIT_BOUND)
-    except GroupLabError as exc:
+    except (GroupLabError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 

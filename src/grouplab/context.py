@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional
 from .cayley import ElementIndex
 from .errors import NotASubgroupError, NotNormalError
 from .groups import Group
-from .perms import Permutation, identity
+from .perms import Permutation
 from .primes import p_part, prime_divisors, require_prime
 
 _MISSING = object()
@@ -68,18 +68,6 @@ def context_of(G: Group) -> "GroupContext":
 
 def clear_contexts() -> None:
     _CONTEXTS.clear()
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    return p_part(n, p) == n
-
-
-def _is_pi_number(n: int, pi: frozenset) -> bool:
-    return all(q in pi for q in prime_divisors(n))
-
-
-def _is_pi_prime_number(n: int, pi: frozenset) -> bool:
-    return all(q not in pi for q in prime_divisors(n))
 
 
 def subgroup_sort_key(H: Group) -> tuple:
@@ -184,8 +172,6 @@ class GroupContext:
         elements of the ambient: for the element set of a registry subgroup,
         that subgroup, found by its mask."""
         return self._subgroup_at(self._at(elements))
-
-    subgroup = generated
 
     def _subgroup_at(self, positions: Iterable[int]) -> Group:
         mask = self._index.mask(positions)
@@ -340,10 +326,8 @@ class GroupContext:
         return tuple(sorted(found.values(), key=subgroup_sort_key))
 
     def minimal_normal_subgroups(self) -> tuple[Group, ...]:
-        normals = [N for N in self.normal_subgroups() if N.order > 1]
-        return tuple(N for N in normals
-                     if not any(M.order < N.order and self.le(M, N)
-                                for M in normals))
+        """The covers of 1 among the normal subgroups, in their order."""
+        return tuple(H for K, H in self.chief_pairs() if K.order == 1)
 
     def is_normal(self, H: Group) -> bool:
         """Whether H is a normal subgroup."""
@@ -433,32 +417,33 @@ class GroupContext:
 
     def sylow_all(self, p: int) -> tuple[Group, ...]:
         require_prime(p)
-        pp = p_part(self.group.order, p)
-        if pp == 1:
-            return (self.trivial_subgroup(),)
-        return tuple(H for H in self.all_subgroups() if H.order == pp)
+        return self.sylow_of_subgroup(self.group, p)
 
     def sylow(self, p: int) -> Group:
         return self.sylow_all(p)[0]
 
+    @memoized
     def sylow_of_subgroup(self, K: Group, p: int) -> tuple[Group, ...]:
+        """The Sylow p-subgroups of the subgroup K, in lattice order."""
         pp = p_part(K.order, p)
         if pp == 1:
             return (self.trivial_subgroup(),)
         return tuple(H for H in self.subgroups_of(K) if H.order == pp)
 
     def hall(self, pi) -> tuple[Optional[Group], bool]:
-        pi = frozenset(pi)
+        """The first Hall pi-subgroup in lattice order (None if there is
+        none), and whether the Hall pi-subgroups form one conjugacy class.
+        The classes are ordered by their first members, so the first class
+        of the Hall order starts with that subgroup."""
         part = 1
         for p in self.primes():
             if p in pi:
                 part *= p_part(self.group.order, p)
-        members = [H for H in self.all_subgroups() if H.order == part]
-        if not members:
-            return None, True
         # the members of a class share one order
         classes = [c for c in self.subgroup_classes() if c[0].order == part]
-        return members[0], len(classes) == 1
+        if not classes:
+            return None, True
+        return classes[0][0], len(classes) == 1
 
     # ------------------------------------------------------------------
     # named subgroups
@@ -478,25 +463,20 @@ class GroupContext:
         return self._group(mask)
 
     def O_p(self, p: int) -> Group:
-        # a normal subgroup of order 1 counts as a p-group here
-        return self._largest_normal(_is_power_of, p)
+        require_prime(p)
+        return self.O_pi((p,))
 
     def O_pi_prime(self, pi) -> Group:
-        return self._largest_normal(_is_pi_prime_number, frozenset(pi))
-
-    def O_pi(self, pi) -> Group:
-        """Largest normal pi-subgroup."""
-        return self._largest_normal(_is_pi_number, frozenset(pi))
+        return self.O_pi(tuple(q for q in self.primes() if q not in pi))
 
     @memoized
-    def _largest_normal(self, order_ok: Callable[[int, object], bool],
-                        arg) -> Group:
-        """The first largest normal subgroup N with order_ok(|N|, arg)."""
-        best = self.trivial_subgroup()
-        for N in self.normal_subgroups():
-            if order_ok(N.order, arg) and N.order > best.order:
-                best = N
-        return best
+    def O_pi(self, pi) -> Group:
+        """The largest normal pi-subgroup, for a hashable collection pi of
+        primes: the normal subgroup of largest order whose order's primes
+        all lie in pi.  It is unique, so the scan order does not matter."""
+        return max((N for N in self.normal_subgroups()
+                    if all(q in pi for q in prime_divisors(N.order))),
+                   key=lambda N: N.order)
 
     @memoized
     def O_upper_p(self, p: int) -> Group:
@@ -549,21 +529,11 @@ class GroupContext:
         reps = [x for x in self.positions(self.group) if label[x] == x]
         number = {r: c for c, r in enumerate(reps)}
         coset = [number.get(x, -1) for x in label]
-        # a generator maps coset c to the coset of reps[c] times it
-        cols = [self._index.column(g) for g in self._at(self.group.generators)]
-        images = tuple(Permutation([coset[col[r]] for r in reps])
-                       for col in cols)
-        # one walk over the cosets: the image of coset d = c g is that of c
-        # times that of g
-        elems = [None] * len(reps)
-        elems[0] = identity(len(reps))
-        walk = [0]
-        for c in walk:
-            for col, image in zip(cols, images):
-                d = coset[col[reps[c]]]
-                if elems[d] is None:
-                    elems[d] = elems[c] * image
-                    walk.append(d)
+        # coset c acts by right multiplication by reps[c]: as N is normal,
+        # it maps the coset N r to N r reps[c], read off the column of reps[c]
+        elems = [Permutation([coset[col[r]] for r in reps])
+                 for col in map(self._index.column, reps)]
+        images = [elems[coset[g]] for g in self._at(self.group.generators)]
         Q = Group(len(reps), images, _skip_degree_check=True, _closure=elems)
         if len(Q.element_set()) != Q.order:
             raise AssertionError("quotient order mismatch")  # pragma: no cover

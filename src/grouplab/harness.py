@@ -33,6 +33,8 @@ def select_theorems(selector: str) -> tuple[str, ...]:
     if selector.strip().lower() == "all":
         return THEOREM_IDS
     ids = tuple(t.strip() for t in selector.split(",") if t.strip())
+    if not ids:
+        raise ValueError(f"no theorem ids in {selector!r}")
     unknown = [t for t in ids if t not in THEOREM_IDS]
     if unknown:
         raise ValueError(f"unknown theorem ids: {', '.join(unknown)}")

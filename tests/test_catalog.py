@@ -180,6 +180,17 @@ def test_duplicate_groups_flagged(tmp_path):
     assert any("duplicate" in w.lower() for w in cat.warnings)
 
 
+def test_repeated_group_name_is_an_error(tmp_path):
+    """Reports name groups by catalog name, so two blocks with one name
+    would make the report depend on the catalog's order."""
+    p = tmp_path / "dup.catalog"
+    p.write_text("group a\ndegree 3\ngen (1 2 3)\nend\n"
+                 "group a\ndegree 4\ngen (1 2)\nend\n")
+    with pytest.raises(CatalogError,
+                       match=r"dup\.catalog:5: repeated group name 'a'"):
+        load_catalog(p)
+
+
 def test_semidirect_constructions_present():
     """At least 5 split-extension constructions beyond direct products."""
     semis = [n for n in CORE_GROUP_NAMES

@@ -117,8 +117,11 @@ def test_verify_small_catalog(tmp_path):
 def test_verify_unknown_theorem_is_usage_error(tmp_path):
     cat = tmp_path / "one.catalog"
     cat.write_text("group c2\ndegree 2\ngen (1 2)\nend\n")
-    r = run("verify", "--catalog", str(cat), "--theorems", "L9.9")
-    assert r.returncode == 2
+    # "," names no theorem at all
+    for selector in ("L9.9", ","):
+        r = run("verify", "--catalog", str(cat), "--theorems", selector)
+        assert r.returncode == 2, selector
+        assert "error" in r.stderr, selector
 
 
 def test_verify_missing_catalog_is_usage_error():

@@ -1,10 +1,13 @@
 """Subgroup lattice: completeness, conjugacy classes, Sylow and Hall scans."""
 
+from itertools import combinations
+
 import pytest
 
-from grouplab.catalog import builtin_group, symmetric
-from grouplab.context import context_of
-from grouplab.groups import closure
+from grouplab.catalog import (builtin_group, core_catalog_path, load_catalog,
+                              symmetric)
+from grouplab.context import clear_contexts, context_of
+from grouplab.groups import Group, closure
 from grouplab.lattice import (
     enumerate_subgroups,
     hall,
@@ -13,6 +16,8 @@ from grouplab.lattice import (
     sylow,
     sylow_all,
 )
+from grouplab.perms import from_cycles
+from grouplab.primes import p_part, prime_divisors
 from grouplab.structure import generalized_fitting
 
 
@@ -167,3 +172,61 @@ def test_subnormal_pi_subgroups_inside_o_pi():
                  if set(_primes_of(N.order)) <= pi_set),
                 key=lambda N: N.order)
             assert H.element_set() <= o_pi.element_set()
+
+
+def _conjugates(H, gens):
+    """The element sets of H's conjugates, by permutation products: the orbit
+    of H under conjugation by the generators."""
+    orbit = {H.element_set()}
+    queue = list(orbit)
+    for S in queue:
+        for g in gens:
+            T = frozenset(g.inverse() * h * g for h in S)
+            if T not in orbit:
+                orbit.add(T)
+                queue.append(T)
+    return orbit
+
+
+def test_subgroup_scans_match_their_brute_force_definitions():
+    """Minimal normal subgroups, pi-cores, Sylow and Hall subgroups against
+    the filters over the normal subgroups and the lattice that they replaced,
+    with containment and conjugacy taken from element sets and products, on
+    the catalog groups of order <= 60 and on PSL(2,7), whose Hall
+    {2,3}-subgroups form two classes."""
+    clear_contexts()
+    psl27 = Group(7, [from_cycles("(1 2 3 4 5 6 7)", 7),
+                      from_cycles("(1 2)(3 6)", 7)])
+    for G in [e.group for e in load_catalog(core_catalog_path()).entries
+              if e.group.order <= 60] + [psl27]:
+        ctx = context_of(G)
+        subs = ctx.all_subgroups()
+        normals = ctx.normal_subgroups()
+        nontrivial = [N for N in normals if N.order > 1]
+        assert ctx.minimal_normal_subgroups() == tuple(
+            N for N in nontrivial
+            if not any(M.element_set() < N.element_set() for M in nontrivial))
+
+        def core(pi):
+            return max((N for N in normals
+                        if set(prime_divisors(N.order)) <= set(pi)),
+                       key=lambda N: N.order)
+
+        primes = ctx.primes()
+        for p in (2, 3, 5, 7):
+            assert ctx.O_p(p) == core({p}), (G, p)
+            assert ctx.O_pi_prime({p}) == core(set(primes) - {p})
+            assert ctx.sylow_all(p) == tuple(
+                H for H in subs if H.order == p_part(G.order, p))
+        for r in range(len(primes) + 1):
+            for pi in combinations(primes, r):
+                assert ctx.O_pi(pi) == core(pi), (G, pi)
+                part = 1
+                for p in pi:
+                    part *= p_part(G.order, p)
+                members = [H for H in subs if H.order == part]
+                want = (None, True) if not members else (
+                    members[0],
+                    len(_conjugates(members[0], G.generators)) == len(members))
+                assert ctx.hall(pi) == want, (G, pi)
+        clear_contexts()

@@ -37,6 +37,7 @@ def test_memoized_entry_points_return_the_stored_object(monkeypatch):
         "all_subgroups": ctx.all_subgroups,
         "normal_subgroups": ctx.normal_subgroups,
         "subgroup_classes": ctx.subgroup_classes,
+        "sylow_all": lambda: ctx.sylow_all(2),
         "core": lambda: ctx.core(H),
         "quotient_ctx": lambda: ctx.quotient_ctx(N),
         "is_s_permutable": lambda: is_s_permutable(G, H),

@@ -190,7 +190,7 @@ def _identity_reads(module: str) -> list[tuple[str, str]]:
 
 
 @pytest.mark.parametrize("module", ["structure", "formations", "quasinormal",
-                                    "theorems", "cli"])
+                                    "theorems", "cli", "cache"])
 def test_analysis_layers_compare_subgroups_by_mask(module):
     assert _identity_reads(module) == []
 

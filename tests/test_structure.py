@@ -106,7 +106,8 @@ def test_non_prime_p_is_rejected():
     assert r.stdout.split() == ["ValueError"] * 3
     S4 = symmetric(4)
     for call in (lambda: sylow(S4, 4), lambda: is_p_group(S4, 4),
-                 lambda: predicate(S4, "p_group", 4)):
+                 lambda: predicate(S4, "p_group", 4),
+                 lambda: context_of(S4).O_p(4)):
         with pytest.raises(ValueError):
             call()
 
