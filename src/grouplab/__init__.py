@@ -1,9 +1,10 @@
 """Finite permutation-group engine with a theorem-verification harness.
 
-Deterministic, desk-scale (order <= 1000, degree <= 64) computations:
-enumerated element sets, subgroup lattices, structural predicates, saturated
-formations (nilpotent / supersoluble / soluble), hypercenters, subgroup
-permutability, and batch verification over a group catalog.
+Deterministic, desk-scale computations (order <= 1000, degree <= 64, at most
+2500 subgroups in a lattice): enumerated element sets, subgroup lattices,
+structural predicates, saturated formations (nilpotent / supersoluble /
+soluble), hypercenters, subgroup permutability, and batch verification over
+a group catalog.
 """
 
 from .catalog import builtin_group, core_catalog_path, load_catalog

@@ -26,26 +26,17 @@ __all__ = [
     "clear_cache",
     "cache_stats",
     "enabled",
-    "set_enabled",
 ]
 
 MAGIC = "grouplab-lattice 1"
 _ENV_DIR = "GROUPLAB_CACHE_DIR"
 _ENV_ON = "GROUPLAB_CACHE"
-_enabled: Optional[bool] = None
 # the temp files of store_lattice: <key>.<random>.tmp
 _TEMP_GLOB = "*.*.tmp"
 
 
 def enabled() -> bool:
-    if _enabled is not None:
-        return _enabled
     return os.environ.get(_ENV_ON, "") not in ("", "0")
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    global _enabled
-    _enabled = value
 
 
 def cache_dir() -> Path:

@@ -21,7 +21,6 @@ from .perms import Permutation, from_cycles
 from .primes import p_part, prime_divisors
 
 __all__ = [
-    "GroupSpec",
     "CatalogEntry",
     "Catalog",
     "builtin_group",
@@ -59,8 +58,7 @@ def cyclic(n: int) -> Group:
     if n == 1:
         return Group(1, [])
     if n <= MAX_DEGREE:
-        return Group(n, [Permutation(tuple(range(1, n)) + (0,))],
-                     _max_order=max(1000, n))
+        return Group(n, [Permutation(tuple(range(1, n)) + (0,))])
     # coprime prime-power decomposition acts on fewer points
     parts = [p_part(n, p) for p in prime_divisors(n)]
     if sum(parts) > MAX_DEGREE:
@@ -72,7 +70,7 @@ def cyclic(n: int) -> Group:
     g = G.generators[0]
     for h in G.generators[1:]:
         g = g * h
-    return Group(G.degree, [g], _max_order=max(1000, n))
+    return Group(G.degree, [g])
 
 
 def dihedral(n: int) -> Group:
@@ -336,18 +334,9 @@ def _eval_expr(expr) -> Group:
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    name: str
-    degree: int
-    generators: tuple[str, ...]
-    expected_order: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     group: Group
-    spec: GroupSpec
 
 
 @dataclass(frozen=True)
@@ -360,12 +349,6 @@ class Catalog:
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
-
-    def get(self, name: str) -> Group:
-        for e in self.entries:
-            if e.name == name:
-                return e.group
-        raise CatalogError(f"no such group in catalog: {name!r}")
 
 
 def load_catalog(path) -> Catalog:
@@ -410,7 +393,7 @@ def load_catalog(path) -> Catalog:
             except ValueError:
                 err(lineno, f"bad order: {rest!r}")
         elif kw == "end":
-            entries.append(_finish_block(path, cur, warnings))
+            entries.append(_finish_block(path, cur))
             cur = None
         else:
             err(lineno, f"unknown keyword {kw!r}")
@@ -429,7 +412,7 @@ def load_catalog(path) -> Catalog:
     return Catalog(tuple(entries), tuple(warnings))
 
 
-def _finish_block(path, cur, warnings) -> CatalogEntry:
+def _finish_block(path, cur) -> CatalogEntry:
     lineno = cur["line"]
     if cur["degree"] is None:
         raise CatalogError(f"{path}:{lineno}: group {cur['name']!r} has no degree")
@@ -444,9 +427,7 @@ def _finish_block(path, cur, warnings) -> CatalogEntry:
         raise CatalogError(
             f"{path}:{lineno}: group {cur['name']!r} has order {group.order}, "
             f"expected {cur['order']}")
-    spec = GroupSpec(cur["name"], cur["degree"],
-                     tuple(t for _, t in cur["gens"]), cur["order"])
-    return CatalogEntry(cur["name"], group, spec)
+    return CatalogEntry(cur["name"], group)
 
 
 def core_catalog_path() -> str:

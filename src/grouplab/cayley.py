@@ -25,6 +25,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
+from .errors import BoundExceededError
+from .groups import MAX_SUBGROUPS
 from .perms import Permutation
 
 
@@ -159,12 +161,15 @@ class ElementIndex:
 
     def subgroups(self) -> dict[int, list[int]]:
         """Every subgroup, mask -> elements: the cyclic subgroups closed under
-        joins <H, C> with a cyclic C, one H per conjugacy class."""
+        joins <H, C> with a cyclic C, one H per conjugacy class.  Raises
+        BoundExceededError as soon as more than MAX_SUBGROUPS are found."""
         conj = [self.conjugation(g) for g in self.generators]
         seeds = [(self.mask(powers), powers, [powers[1]])
                  for powers in self.cyclic()]
         # found is a union of whole classes; only the first-found member of
-        # each class goes on the worklist
+        # each class goes on the worklist.  The seeds alone stay within the
+        # bound: there are fewer cyclic subgroups than elements, at most
+        # MAX_ORDER
         found = {1: [0]}
         worklist = []
         for seed in seeds:
@@ -180,6 +185,10 @@ class ElementIndex:
                 elems, mask = self.extend(helems, hmask, gens)
                 if mask not in found:
                     found.update(self.orbit(elems, conj))
+                    if len(found) > MAX_SUBGROUPS:
+                        raise BoundExceededError(
+                            f"more than {MAX_SUBGROUPS} subgroups exceed "
+                            f"the desk bound")
                     worklist.append((mask, elems, gens))
         return found
 

@@ -148,14 +148,14 @@ def check(kind, group_name, subgroup_text, formation, prime, catalog_path):
 def lattice(group, catalog_path):
     """Conjugacy classes of subgroups of GROUP."""
     G = _resolve_group(group, catalog_path)
-    ctx = context_of(G)
-    classes = ctx.subgroup_classes()
+    classes = context_of(G).subgroup_classes()
     total = sum(len(c) for c in classes)
     click.echo(f"{total} subgroups in {len(classes)} conjugacy classes")
     for cls in classes:
         rep = cls[0]
         gens = ", ".join(to_cycles(g) for g in rep.generators) or "()"
-        flag = " normal" if ctx.is_normal(rep) else ""
+        # a subgroup is normal exactly when its class is itself
+        flag = " normal" if len(cls) == 1 else ""
         click.echo(f"  order {rep.order:>4}  x{len(cls)}{flag}  <{gens}>")
     sys.exit(EXIT_PASS)
 

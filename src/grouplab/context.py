@@ -198,12 +198,6 @@ class GroupContext:
             object.__setattr__(H, "_place", (self._tree, mask, elems))
         return H
 
-    def greedy_generators(self, H: Group) -> list[Permutation]:
-        """Each element of H, in image-tuple order, that the earlier ones do
-        not generate: the generators of every registry subgroup but a root."""
-        at = self._index.elements
-        return [at[i] for i in self._index.close(self.positions(H))[0]]
-
     def trivial_subgroup(self) -> Group:
         return self._group(1)
 

@@ -2,16 +2,15 @@
 
     N (nilpotent groups), U (supersoluble groups), S (soluble groups).
 
-Provides membership, centrality of chief factors (with both a fast
-characterization and the explicit semidirect construction), the
-F-hypercenter and the F-residual.
+Provides membership, centrality of chief factors by a fast
+characterization, the F-hypercenter and the F-residual.
 """
 
 from __future__ import annotations
 
-from .context import GroupContext, context_of, memoized, subgroup_sort_key
-from .errors import BoundExceededError, NotNormalError
-from .groups import Group, MAX_DEGREE, MAX_ORDER, quotient, semidirect_product
+from .context import GroupContext, context_of, memoized
+from .errors import NotNormalError
+from .groups import Group
 from .primes import is_prime, prime_divisors
 from .structure import ChiefFactor, holds, series_of
 
@@ -19,7 +18,6 @@ __all__ = [
     "FORMATIONS",
     "in_formation",
     "is_f_central",
-    "is_f_central_generic",
     "f_hypercenter",
     "f_residual",
     "hypercenter_preimage",
@@ -57,8 +55,8 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
 
     N: the factor is a p-group centralized by all of G.  U: the factor has
     prime order.  S: the factor is abelian and G modulo its centralizer is
-    soluble.  Agreement with the explicit semidirect construction is checked
-    by is_f_central_generic wherever that construction fits desk bounds.
+    soluble.  The tests check it against the explicit semidirect
+    construction wherever that construction fits desk bounds.
     """
     forder = cf.order
     if formation == "N":
@@ -72,39 +70,6 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
         return ctx.le(cf.upper, C) and any(
             ctx.le(term, C) for term in series_of(ctx, "derived").chain)
     raise ValueError(f"unknown formation: {formation!r}")
-
-
-def is_f_central_generic(G: Group, cf: ChiefFactor, formation: str) -> bool:
-    """Membership of the explicit test group [H/K](G / C_G(H/K)) in F.
-
-    Raises BoundExceededError when the construction does not fit desk scale
-    (factor order > 64 or test-group order > 1000).
-    """
-    if cf.order > MAX_DEGREE:
-        raise BoundExceededError(
-            f"chief factor of order {cf.order} exceeds degree bound {MAX_DEGREE}")
-    vres = quotient(cf.upper, cf.lower)
-    V = vres.group
-    C = cf.centralizer
-    if C.order == G.order:
-        return in_formation(V, formation)
-    qres = quotient(G, C)
-    Q = qres.group
-    if V.order * Q.order > MAX_ORDER:
-        raise BoundExceededError(
-            f"test group order {V.order * Q.order} exceeds {MAX_ORDER}")
-    # align Q's stored generators with preimages among G's generators
-    actions = []
-    upper_elems = cf.upper.elements()
-    for g, img in zip(G.generators, qres.epimorphism.images):
-        if img.is_identity():
-            continue
-        ginv = g.inverse()
-        phi = {vres.epimorphism(h): vres.epimorphism(ginv * h * g)
-               for h in upper_elems}
-        actions.append(phi)
-    test_group = semidirect_product(V, Q, actions)
-    return in_formation(test_group, formation)
 
 
 def f_hypercenter(G: Group, formation: str) -> Group:
@@ -158,7 +123,8 @@ def f_residual(G: Group, formation: str) -> Group:
 def residual(ctx: GroupContext, formation: str) -> Group:
     qualifying = [N for N in ctx.normal_subgroups()
                   if quotient_in_formation(ctx, N, formation)]
-    best = min(qualifying, key=subgroup_sort_key)
+    # the normal subgroups come in subgroup_sort_key order
+    best = qualifying[0]
     if not all(ctx.le(best, N) for N in qualifying):
         raise AssertionError("residual is not unique")  # pragma: no cover
     return best

@@ -6,8 +6,10 @@ order bound is passed.  Order is the size of that set and membership a set
 lookup.  Groups are immutable after construction and safe to share.
 
 Desk-scale bounds: degree <= 64 and order <= 1000 for directly constructed
-groups.  Quotient groups act on cosets and may have degree up to the index
-(<= 1000); they bypass the degree bound only.
+groups, and at most 2500 subgroups in a lattice.  Every group, products
+included, is closed under the order bound.  Quotient groups act on cosets
+and may have degree up to the index (<= 1000); they bypass the degree bound
+only.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .perms import Permutation, identity
 __all__ = [
     "MAX_DEGREE",
     "MAX_ORDER",
+    "MAX_SUBGROUPS",
     "Group",
     "Homomorphism",
     "SetProductResult",
@@ -39,6 +42,8 @@ __all__ = [
 
 MAX_DEGREE = 64
 MAX_ORDER = 1000
+# the subgroup lattice stops growing past this many subgroups
+MAX_SUBGROUPS = 2500
 
 _images = attrgetter("images")
 
@@ -52,7 +57,7 @@ class Group:
                  "_key", "_hash", "_place")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
-                 *, _skip_degree_check: bool = False, _max_order: int = MAX_ORDER,
+                 *, _skip_degree_check: bool = False,
                  _closure: Optional[Iterable[Permutation]] = None):
         # _closure: the element set of the generators, when the caller has
         # just computed it
@@ -65,7 +70,7 @@ class Group:
             raise ValueError("degree must be >= 1")
         if degree > MAX_DEGREE and not _skip_degree_check:
             raise BoundExceededError(f"degree {degree} exceeds desk bound {MAX_DEGREE}")
-        elems = (closure(degree, gens, limit=_max_order) if _closure is None
+        elems = (closure(degree, gens, limit=MAX_ORDER) if _closure is None
                  else _closure)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", gens)
@@ -257,9 +262,7 @@ def direct_product(A: Group, B: Group) -> Group:
             for g in A.generators]
     gens += [Permutation(tuple(range(n)) + tuple(i + n for i in g.images))
              for g in B.generators]
-    prod = Group(n + m, gens,
-                 _skip_degree_check=(n + m > MAX_DEGREE),
-                 _max_order=max(MAX_ORDER, A.order * B.order))
+    prod = Group(n + m, gens, _skip_degree_check=(n + m > MAX_DEGREE))
     if prod.order != A.order * B.order:
         raise AssertionError("direct product order mismatch")  # pragma: no cover
     return prod
@@ -294,9 +297,7 @@ def semidirect_product(N: Group, Q: Group,
         perms.append(Permutation(tuple(index_of[phi[e]] for e in domain)))
     translations = [Permutation(tuple(index_of[e * g] for e in domain))
                     for g in N.generators]
-    result = Group(len(domain), translations + perms,
-                   _skip_degree_check=False,
-                   _max_order=max(MAX_ORDER, N.order * Q.order))
+    result = Group(len(domain), translations + perms)
     if result.order != N.order * Q.order:
         raise InvalidActionError(
             f"action is not faithful or not a homomorphism: got order "

@@ -52,7 +52,7 @@ class _Job:
 
 
 def _case_dict(r) -> dict:
-    out = {
+    return {
         "theorem": r.theorem_id,
         "params": r.params,
         "direction": r.direction,
@@ -62,9 +62,6 @@ def _case_dict(r) -> dict:
         "verdict": r.verdict,
         "witnesses": r.witnesses,
     }
-    if r.error is not None:
-        out["error"] = r.error
-    return out
 
 
 def _run_group(job: _Job) -> dict:

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import context_of, subgroup_sort_key
-from .errors import BoundExceededError
-from .groups import Group, MAX_ORDER
+from .groups import Group
 
 __all__ = [
     "SubgroupClass",
@@ -47,16 +46,14 @@ class SubgroupLattice:
 
 
 def enumerate_subgroups(G: Group) -> SubgroupLattice:
-    """The complete subgroup lattice, grouped into conjugacy classes."""
-    if G.order > MAX_ORDER:
-        raise BoundExceededError(f"order {G.order} exceeds desk bound {MAX_ORDER}")
-    ctx = context_of(G)
+    """The complete subgroup lattice, grouped into conjugacy classes; a
+    subgroup is normal exactly when its class is itself."""
     classes = []
-    for members in ctx.subgroup_classes():
+    for members in context_of(G).subgroup_classes():
         classes.append(SubgroupClass(
             representative=members[0],
             members=members,
-            is_normal=len(members) == 1 and ctx.is_normal(members[0]),
+            is_normal=len(members) == 1,
             order=members[0].order,
         ))
     return SubgroupLattice(ambient=G, classes=tuple(classes))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .context import GroupContext, context_of
 from .formations import FORMATIONS, member, quotient_in_formation
@@ -66,7 +66,6 @@ class CaseResult:
     conclusion_value: bool
     verdict: str                 # pass | fail | vacuous | skipped
     witnesses: list = field(default_factory=list)
-    error: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +75,9 @@ class CaseResult:
 def _gens_json(ctx: GroupContext, G: Group, H: Group) -> dict:
     """H's order and generators.  These depend only on H and on G, the group
     passed to verify_case, whose context is ctx: G's own generators for
-    H = G, otherwise the greedy generators of H's sorted element set."""
-    gens = (G.generators if ctx.mask(H) == ctx.mask(G)
-            else ctx.greedy_generators(H))
+    H = G, otherwise those of H's registry object, the greedy generators of
+    its sorted element set."""
+    gens = G.generators if ctx.mask(H) == ctx.mask(G) else H.generators
     return {"order": H.order,
             "generators": [to_cycles(g) for g in gens] or ["()"]}
 
@@ -120,32 +119,17 @@ def _quotient_p_nilpotent(ctx: GroupContext, E: Group, p: int) -> bool:
 
 
 def _direct_span_equals(ctx: GroupContext, parts: list[Group], whole: Group) -> bool:
-    """Whether some subset of `parts` (normal subgroups) is an internal
-    direct decomposition of `whole`: pairwise-trivial running intersections
-    and orders multiplying out.  A product of normal subgroups is their
-    join, of order |A| |B| when A n B = 1."""
-    def dfs(i: int, cur: Group) -> bool:
-        if cur.order == whole.order:
-            return True
-        if i == len(parts):
-            return False
-        if dfs(i + 1, cur):
-            return True
-        M = parts[i]
-        if whole.order % (cur.order * M.order) == 0 \
-                and (ctx.mask(cur) & ctx.mask(M)) == 1:
-            new = ctx.join(cur, M)
-            if ctx.le(new, whole):
-                return dfs(i + 1, new)
-        return False
-
-    return dfs(0, ctx.trivial_subgroup())
+    """Whether the join of `parts`, minimal normal subgroups of ctx's group
+    inside `whole`, is `whole`.  Added one at a time, each part meets the
+    normal product built so far in 1 or in itself, so the join is the direct
+    product of the parts that met it in 1: `whole` is a direct product of
+    some of the parts exactly when it is their join."""
+    join = ctx.generated([g for M in parts for g in M.generators])
+    return ctx.mask(join) == ctx.mask(whole)
 
 
 def _semisimple_nonabelian(T: Group) -> bool:
     """T is trivial or a direct product of non-abelian simple groups."""
-    if T.order == 1:
-        return True
     tctx = context_of(T)
     mins = tctx.minimal_normal_subgroups()
     for M in mins:
@@ -190,10 +174,6 @@ def _gcd_tower(order: int, p: int, n: int) -> bool:
     for i in range(1, n + 1):
         prod *= p ** i - 1
     return math.gcd(order, prod) == 1
-
-
-def _fstar(H: Group) -> Group:
-    return generalized_fitting(H) if H.order > 1 else H
 
 
 def _fstar_images(ctx: GroupContext, N: Group,
@@ -381,7 +361,7 @@ def _enc_l211(ctx, params, wit):
 def _enc_l2121(ctx, params, wit):
     fs = generalized_fitting_of(ctx)
     for N in ctx.normal_subgroups():
-        yield ctx.le(_fstar(N), fs)
+        yield ctx.le(generalized_fitting(N), fs)
 
 
 def _enc_l2122(ctx, params, wit):
@@ -395,7 +375,7 @@ def _enc_l2122(ctx, params, wit):
 def _enc_l2123(ctx, params, wit):
     fs = generalized_fitting_of(ctx)
     fit = ctx.fitting()
-    ok = ctx.le(fit, fs) and ctx.mask(_fstar(fs)) == ctx.mask(fs)
+    ok = ctx.le(fit, fs) and ctx.mask(generalized_fitting(fs)) == ctx.mask(fs)
     if is_soluble(fs):
         ok = ok and ctx.mask(fs) == ctx.mask(fit)
     yield ok
@@ -502,8 +482,8 @@ def _enc_t33(ctx, params, wit):
     for H in ctx.normal_subgroups():
         if not quotient_in_formation(ctx, H, F):
             continue
-        if _maximals_condition(ctx, _fstar(H), only_noncyclic=True,
-                               allow_supplement=True):
+        if _maximals_condition(ctx, generalized_fitting(H),
+                               only_noncyclic=True, allow_supplement=True):
             yield concl
 
 

@@ -13,12 +13,7 @@ import pytest
 from grouplab.catalog import Catalog, builtin_group, core_catalog_path, load_catalog
 from grouplab.context import context_of
 from grouplab.errors import BoundExceededError
-from grouplab.formations import (
-    f_hypercenter,
-    in_formation,
-    is_f_central,
-    is_f_central_generic,
-)
+from grouplab.formations import f_hypercenter, in_formation, is_f_central
 from grouplab.groups import set_product
 from grouplab.harness import report_body_without_timing, run_suite
 from grouplab.lattice import enumerate_subgroups
@@ -27,6 +22,7 @@ from grouplab.structure import chief_factors, is_soluble, series
 from grouplab.theorems import THEOREM_IDS
 
 from _chain_oracle import ChainOracle, membership_probes
+from _formation_oracle import is_f_central_generic
 
 JOBS = 8
 
@@ -190,22 +186,26 @@ def test_kernel_oracles(catalog):
     lat = enumerate_subgroups(builtin_group("symmetric(4)"))
     s4_ok = lat.subgroup_count == 30 and len(lat.classes) == 11
     pairs = 0
-    criterion_ok = True
+    criterion_ok = kernel_ok = True
     for e in catalog.entries:
         if e.group.order > 48:
             continue
-        subs = context_of(e.group).all_subgroups()
+        ctx = context_of(e.group)
+        subs = ctx.all_subgroups()
         for H in subs:
             for K in subs:
                 r = set_product(H, K, e.group)
                 criterion_ok &= r.is_subgroup == r.commutes
+                kernel_ok &= (r.commutes == ctx.permutes(H, K)
+                              and r.size == ctx.product_size(H, K))
                 pairs += 1
-    ok = order_ok and membership_ok and s4_ok and criterion_ok
+    ok = order_ok and membership_ok and s4_ok and criterion_ok and kernel_ok
     assert _line(ok, f"kernel oracles: chain order = enumeration: {order_ok}, "
                      f"chain membership = element set: {membership_ok} "
                      f"({len(catalog)} groups); S4 lattice 30/11: {s4_ok}; "
                      f"HK subgroup <=> HK=KH on {pairs} pairs (<=48): "
-                     f"{criterion_ok}")
+                     f"{criterion_ok}; HK=KH and |HK| = ctx.permutes and "
+                     f"ctx.product_size: {kernel_ok}")
 
 
 def test_determinism(catalog, headline):

@@ -11,14 +11,12 @@ from grouplab.errors import CacheError
 @pytest.fixture
 def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("GROUPLAB_CACHE_DIR", str(tmp_path))
-    cache.set_enabled(True)
-    yield tmp_path
-    cache.set_enabled(None)
+    monkeypatch.setenv("GROUPLAB_CACHE", "1")
+    return tmp_path
 
 
 def test_disabled_by_default(monkeypatch):
     monkeypatch.delenv("GROUPLAB_CACHE", raising=False)
-    cache.set_enabled(None)
     assert not cache.enabled()
 
 

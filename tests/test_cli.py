@@ -45,6 +45,16 @@ def test_info_bound_exceeded():
     assert "bound" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("group", ["direct(symmetric(5),symmetric(5))",
+                                   "elementary_abelian(2,6)"])
+def test_lattice_bound_exceeded(group):
+    """Order 14400 exceeds the order bound, 2825 subgroups the lattice bound."""
+    r = run("lattice", group, timeout=60)
+    assert r.returncode == 3
+    assert "bound exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_check_sperm_holds():
     r = run("check", "s-perm", "--group", "dicyclic(2)",
             "--subgroup", "(1 2 3 4)(5 8 7 6)")

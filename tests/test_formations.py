@@ -12,7 +12,6 @@ from grouplab.formations import (
     hypercenter_preimage,
     in_formation,
     is_f_central,
-    is_f_central_generic,
     quotient_in_formation,
 )
 from grouplab.structure import (
@@ -22,6 +21,8 @@ from grouplab.structure import (
     is_supersoluble,
     series,
 )
+
+from _formation_oracle import is_f_central_generic
 
 SAMPLE = ["cyclic(1)", "cyclic(12)", "symmetric(3)", "dicyclic(2)",
           "alternating(4)", "symmetric(4)", "SL(2,3)", "dihedral(10)",

@@ -1,6 +1,8 @@
 """Group kernel: enumerated order and membership (checked against a
 Schreier–Sims oracle), products, quotients."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,9 @@ from grouplab.errors import (
     NotASubgroupError,
     NotNormalError,
 )
+from grouplab.cayley import ElementIndex
 from grouplab.groups import (
+    MAX_SUBGROUPS,
     Group,
     closure,
     direct_product,
@@ -65,15 +69,26 @@ def test_contains_rejects_nonmembers():
 
 
 def test_order_bound_enforced():
-    """The closure stops past the order bound; _max_order raises the bound."""
+    """The closure stops past the order bound, for products too."""
     with pytest.raises(BoundExceededError, match="exceeds desk bound 1000"):
         symmetric(8)  # order 40320 > 1000
     gens = list(symmetric(4).generators)
     assert len(closure(4, gens, limit=24)) == 24
     with pytest.raises(BoundExceededError):
         closure(4, gens, limit=23)
-    G = direct_product(symmetric(5), symmetric(5))
-    assert G.order == 14400 == len(G.element_set())
+    with pytest.raises(BoundExceededError, match="exceeds desk bound 1000"):
+        direct_product(symmetric(5), symmetric(5))  # order 14400
+
+
+def test_lattice_bound_enforced():
+    """The lattice stops growing past MAX_SUBGROUPS: E(2^6), with 2825
+    subgroups, raises while its lattice is built, within seconds."""
+    G = elementary_abelian(2, 6)
+    started = time.perf_counter()
+    with pytest.raises(BoundExceededError,
+                       match=f"more than {MAX_SUBGROUPS} subgroups"):
+        ElementIndex(G.elements(), G.generators).subgroups()
+    assert time.perf_counter() - started < 20
 
 
 def test_known_orders():

@@ -11,7 +11,6 @@ from grouplab import harness
 from grouplab.catalog import (
     Catalog,
     CatalogEntry,
-    GroupSpec,
     builtin_group,
     core_catalog_path,
     load_catalog,
@@ -27,8 +26,7 @@ from grouplab.theorems import THEOREM_IDS
 
 
 def _entry(name):
-    G = builtin_group(name)
-    return CatalogEntry(name, G, GroupSpec(name, G.degree, (), G.order))
+    return CatalogEntry(name, builtin_group(name))
 
 
 def _catalog(*names):

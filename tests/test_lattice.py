@@ -82,6 +82,20 @@ def test_deterministic_ordering():
             == [c.members[0].key for c in b.classes])
 
 
+def test_class_is_normal_exactly_when_it_is_one_subgroup():
+    """enumerate_subgroups flags a class normal when it has one member; the
+    normality test agrees on every class of the catalog groups of order
+    <= 60."""
+    for entry in load_catalog(core_catalog_path()).entries:
+        if entry.group.order > 60:
+            continue
+        ctx = context_of(entry.group)
+        for c in enumerate_subgroups(entry.group).classes:
+            assert c.is_normal == ctx.is_normal(c.representative), (
+                entry.name, c.order)
+    clear_contexts()
+
+
 def test_s4_normal_subgroups():
     """[DERIVED] normals of S4 are 1, V4, A4, S4."""
     orders = sorted(N.order for N in normal_subgroups(symmetric(4)))
