@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .errors import BoundExceededError, CatalogError
 from .groups import Group, MAX_DEGREE, direct_product, from_elements
 from .perms import Permutation, from_cycles
-from .primes import p_part, prime_divisors
+from .primes import is_prime, p_part, prime_divisors
 
 __all__ = [
     "CatalogEntry",
@@ -125,8 +125,8 @@ def alternating(n: int) -> Group:
 
 
 def elementary_abelian(p: int, k: int) -> Group:
-    if k < 1 or p < 2:
-        raise CatalogError("elementary_abelian(p, k) requires p >= 2, k >= 1")
+    if k < 1 or not is_prime(p):
+        raise CatalogError("elementary_abelian(p, k) requires a prime p, k >= 1")
     G = cyclic(p)
     for _ in range(k - 1):
         G = direct_product(G, cyclic(p))

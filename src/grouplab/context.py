@@ -321,7 +321,7 @@ class GroupContext:
 
     def minimal_normal_subgroups(self) -> tuple[Group, ...]:
         """The covers of 1 among the normal subgroups, in their order."""
-        return tuple(H for K, H in self.chief_pairs() if K.order == 1)
+        return self.covers(self.trivial_subgroup())
 
     def is_normal(self, H: Group) -> bool:
         """Whether H is a normal subgroup."""
@@ -554,14 +554,25 @@ class GroupContext:
     # chief factors
 
     @memoized
+    def covers(self, K: Group) -> tuple[Group, ...]:
+        """The normals H with H/K minimal normal in G/K, for normal K, in
+        their order: those above K with no earlier cover inside.  A normal
+        strictly between K and H, and a cover of K inside it, come before H."""
+        kmask = self.mask(K)
+        kept: dict[int, Group] = {}
+        for H in self.normal_subgroups():
+            if H.order > K.order:
+                hmask = self.mask(H)
+                if not kmask & ~hmask and all(m & ~hmask for m in kept):
+                    kept[hmask] = H
+        return tuple(kept.values())
+
+    @memoized
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""
-        normals = self.normal_subgroups()
-        return tuple((K, H) for K in normals for H in normals
-                     if K.order < H.order and self.le(K, H) and not any(
-                         K.order < M.order < H.order
-                         and self.le(K, M) and self.le(M, H) for M in normals))
+        return tuple((K, H) for K in self.normal_subgroups()
+                     for H in self.covers(K))
 
     def _coset_labels(self, L: Group) -> list[int]:
         """label[i] names the right coset L x of the element x at position i

@@ -12,7 +12,7 @@ from .context import GroupContext, context_of, memoized
 from .errors import NotNormalError
 from .groups import Group
 from .primes import is_prime, prime_divisors
-from .structure import ChiefFactor, holds, series_of
+from .structure import ChiefFactor, chief_factor, holds, series_of
 
 __all__ = [
     "FORMATIONS",
@@ -38,10 +38,14 @@ def in_formation(G: Group, formation: str) -> bool:
     return member(context_of(G), formation)
 
 
-def member(ctx: GroupContext, formation: str) -> bool:
-    """Whether ctx's group lies in the formation."""
+def require_formation(formation: str) -> None:
     if formation not in _MEMBERSHIP:
         raise ValueError(f"unknown formation: {formation!r}")
+
+
+def member(ctx: GroupContext, formation: str) -> bool:
+    """Whether ctx's group lies in the formation."""
+    require_formation(formation)
     return holds(ctx, _MEMBERSHIP[formation])
 
 
@@ -58,18 +62,17 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
     soluble.  The tests check it against the explicit semidirect
     construction wherever that construction fits desk bounds.
     """
+    require_formation(formation)
     forder = cf.order
     if formation == "N":
         return (cf.centralizer.order == ctx.group.order
                 and len(prime_divisors(forder)) == 1)
     if formation == "U":
         return is_prime(forder)
-    if formation == "S":
-        # the factor is abelian exactly when upper centralizes it
-        C = cf.centralizer
-        return ctx.le(cf.upper, C) and any(
-            ctx.le(term, C) for term in series_of(ctx, "derived").chain)
-    raise ValueError(f"unknown formation: {formation!r}")
+    # S: the factor is abelian exactly when upper centralizes it
+    C = cf.centralizer
+    return ctx.le(cf.upper, C) and any(
+        ctx.le(term, C) for term in series_of(ctx, "derived").chain)
 
 
 def f_hypercenter(G: Group, formation: str) -> Group:
@@ -87,31 +90,21 @@ def hypercenter_preimage(G: Group, N: Group, formation: str) -> Group:
 def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
     """The preimage in G of Z_inf^F(G/Z), for normal Z: the largest normal
     subgroup above Z reached through F-central chief factors, adding every
-    F-central one above the current term at once.
+    F-central cover of Z at once and climbing on from their join.
 
     The chief factors of G above Z are those of G/Z, with the same orders,
     and their centralizers are the preimages of those of G/Z, so each one is
     F-central in G exactly when its image is F-central in G/Z.
     """
+    require_formation(formation)
     if not ctx.is_normal(Z):
         raise NotNormalError("N is not a normal subgroup of G")
-    covers = [(ctx.mask(lower), M) for lower, M in ctx.chief_pairs()]
-    while True:
-        gens = list(Z.generators)
-        grew = False
-        zmask = ctx.mask(Z)
-        for lmask, M in covers:
-            if lmask != zmask:
-                continue
-            cf = ChiefFactor(upper=M, lower=Z,
-                             centralizer=ctx.chief_centralizer(Z, M),
-                             order=M.order // Z.order)
-            if f_central(ctx, cf, formation):
-                gens.extend(M.generators)
-                grew = True
-        if not grew:
-            return Z
-        Z = ctx.generated(gens)
+    gens = [g for M in ctx.covers(Z)
+            if f_central(ctx, chief_factor(ctx, Z, M), formation)
+            for g in M.generators]
+    if not gens:
+        return Z
+    return hypercenter(ctx, ctx.generated([*Z.generators, *gens]), formation)
 
 
 def f_residual(G: Group, formation: str) -> Group:
@@ -131,13 +124,12 @@ def residual(ctx: GroupContext, formation: str) -> Group:
 
 
 def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
-    """G/N in F, without constructing the quotient group."""
+    """G/N in F, without constructing the quotient group: for U, every
+    chief factor above N has prime order."""
+    require_formation(formation)
     if formation == "S":
         return any(ctx.le(t, N) for t in series_of(ctx, "derived").chain)
     if formation == "N":
         return any(ctx.le(t, N) for t in series_of(ctx, "lower_central").chain)
-    if formation == "U":
-        return all(is_prime(upper.order // lower.order)
-                   for lower, upper in ctx.chief_pairs()
-                   if ctx.le(N, lower))
-    raise ValueError(f"unknown formation: {formation!r}")
+    return all(is_prime(upper.order // lower.order)
+               for lower, upper in ctx.chief_pairs() if ctx.le(N, lower))

@@ -262,7 +262,7 @@ def direct_product(A: Group, B: Group) -> Group:
             for g in A.generators]
     gens += [Permutation(tuple(range(n)) + tuple(i + n for i in g.images))
              for g in B.generators]
-    prod = Group(n + m, gens, _skip_degree_check=(n + m > MAX_DEGREE))
+    prod = Group(n + m, gens)
     if prod.order != A.order * B.order:
         raise AssertionError("direct product order mismatch")  # pragma: no cover
     return prod

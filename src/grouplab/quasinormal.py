@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .context import GroupContext, context_of, memoized
-from .formations import FORMATIONS, hypercenter, member
+from .formations import FORMATIONS, hypercenter, member, require_formation
 from .groups import Group
 from .structure import holds
 
@@ -94,6 +94,7 @@ def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
     """Whether H is F_s-quasinormal in ctx's group, by an exhaustive scan over
     normal subgroups T in deterministic (ascending) order; the witness is the
     smallest qualifying T.  The variant only scans T containing H_G."""
+    require_formation(formation)
     hmask = ctx.mask(H)
     core = ctx.core(H)
     cmask = ctx.mask(core)

@@ -56,12 +56,9 @@ def series_of(ctx: GroupContext, kind: str) -> Series:
     G = ctx.group
     if kind == "chief":
         chain = [ctx.trivial_subgroup()]
-        pairs = ctx.chief_pairs()
         while chain[-1].order < G.order:
             # the covers of a term come in subgroup_sort_key order
-            mask = ctx.mask(chain[-1])
-            chain.append(next(upper for lower, upper in pairs
-                              if ctx.mask(lower) == mask))
+            chain.append(ctx.covers(chain[-1])[0])
         return Series("chief", tuple(chain))
     steps = {
         "derived": lambda K: derived_subgroup(ctx, K),
@@ -79,18 +76,17 @@ def series_of(ctx: GroupContext, kind: str) -> Series:
         chain.append(nxt)
 
 
+def chief_factor(ctx: GroupContext, lower: Group, upper: Group) -> ChiefFactor:
+    return ChiefFactor(upper=upper, lower=lower,
+                       centralizer=ctx.chief_centralizer(lower, upper),
+                       order=upper.order // lower.order)
+
+
 def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
     """Every chief factor of G: all pairs (K, H) of normals with H/K minimal
     normal in G/K, not just the factors of one chief series."""
     ctx = context_of(G)
-    out = []
-    for lower, upper in ctx.chief_pairs():
-        out.append(ChiefFactor(
-            upper=upper, lower=lower,
-            centralizer=ctx.chief_centralizer(lower, upper),
-            order=upper.order // lower.order,
-        ))
-    return tuple(out)
+    return tuple(chief_factor(ctx, K, H) for K, H in ctx.chief_pairs())
 
 
 # ----------------------------------------------------------------------

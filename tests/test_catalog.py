@@ -4,7 +4,8 @@ core catalog."""
 import pytest
 
 from _core_catalog import CORE_GROUP_NAMES, build_core_entries, format_catalog
-from grouplab.catalog import builtin_group, core_catalog_path, load_catalog
+from grouplab.catalog import (builtin_group, core_catalog_path,
+                              elementary_abelian, load_catalog)
 from grouplab.errors import CatalogError
 
 
@@ -23,6 +24,15 @@ def test_builtin_name_errors():
                 "symmetric(4", "direct()", "direct(cyclic(2))"]:
         with pytest.raises(CatalogError):
             builtin_group(bad)
+
+
+@pytest.mark.parametrize("p, k", [(4, 2), (6, 1)])
+def test_elementary_abelian_needs_a_prime(p, k):
+    """E(4, 2) would be C4 x C4 and E(6, 1) C6, neither elementary."""
+    with pytest.raises(CatalogError, match="requires a prime p"):
+        elementary_abelian(p, k)
+    with pytest.raises(CatalogError, match="requires a prime p"):
+        builtin_group(f"elementary_abelian({p},{k})")
 
 
 def test_sl23_has_o2_of_order_8():

@@ -45,6 +45,22 @@ def test_info_bound_exceeded():
     assert "bound" in r.stderr.lower()
 
 
+def test_info_direct_product_past_the_degree_bound():
+    """A direct product acting on 50 + 19 > 64 points exceeds the degree
+    bound, though its order, 950, is within the order bound."""
+    r = run("info", "direct(cyclic(50),cyclic(19))")
+    assert r.returncode == 3
+    assert "degree 69 exceeds desk bound 64" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_info_elementary_abelian_needs_a_prime():
+    r = run("info", "elementary_abelian(4,2)")
+    assert r.returncode == 2
+    assert "requires a prime p" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("group", ["direct(symmetric(5),symmetric(5))",
                                    "elementary_abelian(2,6)"])
 def test_lattice_bound_exceeded(group):

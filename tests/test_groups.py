@@ -80,6 +80,13 @@ def test_order_bound_enforced():
         direct_product(symmetric(5), symmetric(5))  # order 14400
 
 
+def test_degree_bound_enforced_for_direct_products():
+    """C50 x C19 acts on 69 > 64 points; its order, 950, is within bounds."""
+    with pytest.raises(BoundExceededError, match="degree 69 exceeds"):
+        direct_product(cyclic(50), cyclic(19))
+    assert direct_product(cyclic(50), cyclic(14)).degree == 64
+
+
 def test_lattice_bound_enforced():
     """The lattice stops growing past MAX_SUBGROUPS: E(2^6), with 2825
     subgroups, raises while its lattice is built, within seconds."""
