@@ -387,11 +387,15 @@ class GroupContext:
 
     @memoized
     def maximal_subgroups_of(self, K: Group) -> tuple[Group, ...]:
-        """Maximal proper subgroups of K, read off the ambient lattice."""
-        subs = [H for H in self.subgroups_of(K) if H.order < K.order]
-        return tuple(H for H in subs
-                     if not any(H.order < M.order and self.le(H, M)
-                                for M in subs))
+        """Maximal proper subgroups of K, read off the ambient lattice: from
+        the largest order down (K itself comes last in subgroups_of), the
+        proper subgroups inside none kept before, returned in their order."""
+        kept: dict[int, Group] = {}
+        for H in reversed(self.subgroups_of(K)[:-1]):
+            hmask = self.mask(H)
+            if all(hmask & ~m for m in kept):
+                kept[hmask] = H
+        return tuple(reversed(kept.values()))
 
     def n_maximal_subgroups_of(self, K: Group, n: int) -> tuple[Group, ...]:
         if n < 1:
@@ -495,17 +499,15 @@ class GroupContext:
                    key=lambda N: N.order)
 
     @memoized
-    def is_subnormal(self, H: Group) -> tuple[bool, int]:
+    def is_subnormal(self, H: Group) -> bool:
         hmask = self.mask(H)
         K = self.group
-        defect = 0
         while self.mask(K) != hmask:
             N = self.normal_closure(K, self._at(H.generators))
             if self.mask(N) == self.mask(K):
-                return False, defect
+                return False
             K = N
-            defect += 1
-        return True, defect
+        return True
 
     # ------------------------------------------------------------------
     # quotients

@@ -12,7 +12,7 @@ from .context import GroupContext, context_of, memoized
 from .errors import NotNormalError
 from .groups import Group
 from .primes import is_prime, prime_divisors
-from .structure import ChiefFactor, chief_factor, holds, series_of
+from .structure import ChiefFactor, holds, series_of
 
 __all__ = [
     "FORMATIONS",
@@ -50,12 +50,13 @@ def member(ctx: GroupContext, formation: str) -> bool:
 
 
 def is_f_central(G: Group, cf: ChiefFactor, formation: str) -> bool:
-    return f_central(context_of(G), cf, formation)
+    return f_central(context_of(G), cf.lower, cf.upper, formation)
 
 
-def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
-    """Whether the chief factor of ctx's group is F-central, by the fast
-    characterization.
+def f_central(ctx: GroupContext, lower: Group, upper: Group,
+              formation: str) -> bool:
+    """Whether the chief factor upper/lower of ctx's group is F-central, by
+    the fast characterization.
 
     N: the factor is a p-group centralized by all of G.  U: the factor has
     prime order.  S: the factor is abelian and G modulo its centralizer is
@@ -63,15 +64,15 @@ def f_central(ctx: GroupContext, cf: ChiefFactor, formation: str) -> bool:
     construction wherever that construction fits desk bounds.
     """
     require_formation(formation)
-    forder = cf.order
-    if formation == "N":
-        return (cf.centralizer.order == ctx.group.order
-                and len(prime_divisors(forder)) == 1)
+    forder = upper.order // lower.order
     if formation == "U":
         return is_prime(forder)
+    C = ctx.chief_centralizer(lower, upper)
+    if formation == "N":
+        return (C.order == ctx.group.order
+                and len(prime_divisors(forder)) == 1)
     # S: the factor is abelian exactly when upper centralizes it
-    C = cf.centralizer
-    return ctx.le(cf.upper, C) and any(
+    return ctx.le(upper, C) and any(
         ctx.le(term, C) for term in series_of(ctx, "derived").chain)
 
 
@@ -100,7 +101,7 @@ def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
     if not ctx.is_normal(Z):
         raise NotNormalError("N is not a normal subgroup of G")
     gens = [g for M in ctx.covers(Z)
-            if f_central(ctx, chief_factor(ctx, Z, M), formation)
+            if f_central(ctx, Z, M, formation)
             for g in M.generators]
     if not gens:
         return Z
@@ -108,28 +109,18 @@ def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
 
 
 def f_residual(G: Group, formation: str) -> Group:
-    """G^F: the smallest normal subgroup with quotient in F (exhaustive scan)."""
+    """G^F: the smallest normal subgroup with quotient in F."""
     return residual(context_of(G), formation)
 
 
 @memoized
 def residual(ctx: GroupContext, formation: str) -> Group:
-    qualifying = [N for N in ctx.normal_subgroups()
-                  if quotient_in_formation(ctx, N, formation)]
-    # the normal subgroups come in subgroup_sort_key order
-    best = qualifying[0]
-    if not all(ctx.le(best, N) for N in qualifying):
-        raise AssertionError("residual is not unique")  # pragma: no cover
-    return best
+    """The first normal N, in subgroup_sort_key order, with Z_inf^F(G/N) =
+    G/N: for saturated F, exactly the N above G^F; N = G is one."""
+    return next(N for N in ctx.normal_subgroups()
+                if hypercenter(ctx, N, formation).order == ctx.group.order)
 
 
 def quotient_in_formation(ctx: GroupContext, N: Group, formation: str) -> bool:
-    """G/N in F, without constructing the quotient group: for U, every
-    chief factor above N has prime order."""
-    require_formation(formation)
-    if formation == "S":
-        return any(ctx.le(t, N) for t in series_of(ctx, "derived").chain)
-    if formation == "N":
-        return any(ctx.le(t, N) for t in series_of(ctx, "lower_central").chain)
-    return all(is_prime(upper.order // lower.order)
-               for lower, upper in ctx.chief_pairs() if ctx.le(N, lower))
+    """G/N in F, without constructing the quotient group: N contains G^F."""
+    return ctx.le(residual(ctx, formation), N)

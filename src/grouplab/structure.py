@@ -10,6 +10,7 @@ are doors that call them with ``context_of(G)``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
 from .context import GroupContext, context_of, memoized
@@ -76,17 +77,14 @@ def series_of(ctx: GroupContext, kind: str) -> Series:
         chain.append(nxt)
 
 
-def chief_factor(ctx: GroupContext, lower: Group, upper: Group) -> ChiefFactor:
-    return ChiefFactor(upper=upper, lower=lower,
-                       centralizer=ctx.chief_centralizer(lower, upper),
-                       order=upper.order // lower.order)
-
-
 def chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
     """Every chief factor of G: all pairs (K, H) of normals with H/K minimal
     normal in G/K, not just the factors of one chief series."""
     ctx = context_of(G)
-    return tuple(chief_factor(ctx, K, H) for K, H in ctx.chief_pairs())
+    return tuple(ChiefFactor(upper=H, lower=K,
+                             centralizer=ctx.chief_centralizer(K, H),
+                             order=H.order // K.order)
+                 for K, H in ctx.chief_pairs())
 
 
 # ----------------------------------------------------------------------
@@ -114,10 +112,10 @@ _PREDICATES = {
         ctx.O_p(q).order == p_part(ctx.group.order, q) for q in ctx.primes()),
     "soluble": lambda ctx, p: (holds(ctx, "abelian")
                                or series_of(ctx, "derived").chain[-1].order == 1),
-    # every chief factor of prime order
+    # every factor of one chief series of prime order (Jordan-Hoelder)
     "supersoluble": lambda ctx, p: holds(ctx, "abelian") or all(
         is_prime(upper.order // lower.order)
-        for lower, upper in ctx.chief_pairs()),
+        for lower, upper in pairwise(series_of(ctx, "chief").chain)),
     "perfect": lambda ctx, p: (derived_subgroup(ctx, ctx.group).order
                                == ctx.group.order),
     "simple": lambda ctx, p: (ctx.group.order > 1
@@ -209,7 +207,7 @@ def components_of(ctx: GroupContext) -> tuple[Group, ...]:
         if H.order < 60:
             continue
         hctx = context_of(H)
-        if holds(hctx, "abelian") or not ctx.is_subnormal(H)[0]:
+        if holds(hctx, "abelian") or not ctx.is_subnormal(H):
             continue
         if holds(hctx, "quasisimple"):
             out.append(H)

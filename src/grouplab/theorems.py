@@ -236,7 +236,7 @@ def _corresponds(pred):
 def _enc_l21c(ctx, params, wit):
     for H in ctx.all_subgroups():
         if _sperm(ctx, H):
-            yield ctx.is_subnormal(H)[0]
+            yield ctx.is_subnormal(H)
 
 
 def _enc_l21d(ctx, params, wit):
@@ -292,7 +292,7 @@ def _enc_l23(ctx, params, wit):
 
 def _enc_l24(ctx, params, wit):
     for A in _class_reps(ctx):
-        if A.order > 1 and ctx.is_subnormal(A)[0]:
+        if A.order > 1 and ctx.is_subnormal(A):
             pi = prime_divisors(A.order)
             yield ctx.le(A, ctx.O_pi(pi))
 
@@ -446,7 +446,7 @@ def _enc_t32(ctx, params, wit):
     pairs = [(G, triv)]
     if G.order <= 120:
         classes = ctx.subgroup_classes()
-        a_classes = [c for c in classes if ctx.is_subnormal(c[0])[0]]
+        a_classes = [c for c in classes if ctx.is_subnormal(c[0])]
         b_classes = []
         for c in classes:
             rep = c[0]

@@ -13,7 +13,6 @@ from grouplab.context import GroupContext
 from grouplab.errors import NotNormalError
 from grouplab.formations import f_central
 from grouplab.groups import Group
-from grouplab.structure import ChiefFactor
 
 
 def chief_pairs(ctx: GroupContext) -> tuple[tuple[Group, Group], ...]:
@@ -40,10 +39,7 @@ def hypercenter(ctx: GroupContext, Z: Group, formation: str) -> Group:
         for lmask, M in covers:
             if lmask != zmask:
                 continue
-            cf = ChiefFactor(upper=M, lower=Z,
-                             centralizer=ctx.chief_centralizer(Z, M),
-                             order=M.order // Z.order)
-            if f_central(ctx, cf, formation):
+            if f_central(ctx, Z, M, formation):
                 gens.extend(M.generators)
                 grew = True
         if not grew:

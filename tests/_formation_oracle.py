@@ -1,4 +1,6 @@
-"""F-centrality of a chief factor by the explicit construction: an oracle
+"""Formation oracles on explicit groups.
+
+F-centrality of a chief factor by the explicit construction: an oracle
 for the fast characterization in :func:`grouplab.formations.f_central`.
 
 A chief factor H/K of G is F-central when the semidirect product
@@ -6,10 +8,16 @@ A chief factor H/K of G is F-central when the semidirect product
 and the quotient by its centralizer come from ``groups.quotient``, the
 action from conjugating preimages, the product from
 ``groups.semidirect_product``.
+
+The F-residual by the exhaustive scan grouplab ran before it read the
+residual off the hypercenter ascent: every normal subgroup N whose quotient
+group G/N, built explicitly, lies in F; the first of them must lie in all
+the others.
 """
 
 from __future__ import annotations
 
+from grouplab.context import GroupContext
 from grouplab.errors import BoundExceededError
 from grouplab.formations import in_formation
 from grouplab.groups import (
@@ -53,3 +61,14 @@ def is_f_central_generic(G: Group, cf: ChiefFactor, formation: str) -> bool:
         actions.append(phi)
     test_group = semidirect_product(V, Q, actions)
     return in_formation(test_group, formation)
+
+
+def residual(ctx: GroupContext, formation: str) -> Group:
+    """G^F: the first normal subgroup, in the normal-list order, whose
+    explicit quotient group lies in F; it must lie in every other one."""
+    qualifying = [N for N in ctx.normal_subgroups()
+                  if in_formation(ctx.quotient_ctx(N).group, formation)]
+    best = qualifying[0]
+    if not all(ctx.le(best, N) for N in qualifying):
+        raise AssertionError("residual is not unique")
+    return best

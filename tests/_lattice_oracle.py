@@ -6,10 +6,15 @@ cyclic subgroups found by multiplying permutations, then every join
 <H, C> of a found subgroup H with a cyclic subgroup C closed by a BFS over
 generator products from the identity (``groups.closure``).  It uses no
 Cayley table, no mask and no registry.
+
+``maximal_subgroups_of`` is the pairwise scan the context ran before its
+greedy one: a proper subgroup of K is maximal unless it lies strictly
+inside another.
 """
 
 from __future__ import annotations
 
+from grouplab.context import GroupContext
 from grouplab.groups import Group, closure
 from grouplab.perms import identity
 
@@ -41,3 +46,11 @@ def oracle_subgroup_keys(G: Group) -> set[frozenset]:
                 found[jkey] = gens
                 worklist.append((jkey, gens))
     return set(found)
+
+
+def maximal_subgroups_of(ctx: GroupContext, K: Group) -> tuple[Group, ...]:
+    """Maximal proper subgroups of K, in the ambient lattice's order."""
+    subs = [H for H in ctx.subgroups_of(K) if H.order < K.order]
+    return tuple(H for H in subs
+                 if not any(H.order < M.order and ctx.le(H, M)
+                            for M in subs))

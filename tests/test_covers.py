@@ -1,7 +1,8 @@
 """The cover relation of the normal lattice against the triple scan and the
 pair-list climb in ``_chief_oracle``: chief pairs, covers, minimal normal
-subgroups, the chief series and F-hypercenters; and the formation check at
-the F_s-quasinormality and hypercenter doors."""
+subgroups, the chief series and F-hypercenters; the analyses that must not
+read the pair list; and the formation check at the F_s-quasinormality and
+hypercenter doors."""
 
 import pytest
 
@@ -9,11 +10,12 @@ import _chief_oracle as oracle
 from grouplab.catalog import (builtin_group, core_catalog_path, load_catalog,
                               symmetric)
 from grouplab.context import GroupContext, clear_contexts, context_of
-from grouplab.formations import (FORMATIONS, f_hypercenter, hypercenter,
-                                 hypercenter_preimage)
+from grouplab.formations import (FORMATIONS, f_hypercenter, f_residual,
+                                 hypercenter, hypercenter_preimage,
+                                 quotient_in_formation)
 from grouplab.perms import from_cycles
 from grouplab.quasinormal import is_fs_quasinormal, is_fs_quasinormal_variant
-from grouplab.structure import series
+from grouplab.structure import is_supersoluble, series
 
 SMALL = [e for e in load_catalog(core_catalog_path()).entries
          if e.group.order <= 60]
@@ -70,8 +72,9 @@ def test_chief_pairs_match_oracle_on_748_normals():
 
 
 def test_covers_feed_the_chief_relation_without_the_pair_list(monkeypatch):
-    """On fresh contexts, hypercenters, minimal normal subgroups and the
-    chief series read covers, never the whole pair list."""
+    """On fresh contexts, hypercenters, residuals, quotient membership,
+    supersolubility, minimal normal subgroups and the chief series read
+    covers, never the whole pair list."""
     def no_pairs(ctx):
         raise AssertionError("chief_pairs called")
     monkeypatch.setattr(GroupContext, "chief_pairs", no_pairs)
@@ -80,8 +83,11 @@ def test_covers_feed_the_chief_relation_without_the_pair_list(monkeypatch):
         ctx = context_of(G)
         for F in FORMATIONS:
             f_hypercenter(G, F)
+            f_residual(G, F)
             for N in ctx.normal_subgroups():
                 hypercenter_preimage(G, N, F)
+                quotient_in_formation(ctx, N, F)
+        is_supersoluble(G)
         ctx.minimal_normal_subgroups()
         series(G, "chief")
 

@@ -3,8 +3,9 @@ residual."""
 
 import pytest
 
-from grouplab.catalog import builtin_group, symmetric
-from grouplab.context import context_of
+from grouplab.catalog import (builtin_group, core_catalog_path, load_catalog,
+                              symmetric)
+from grouplab.context import clear_contexts, context_of
 from grouplab.errors import BoundExceededError
 from grouplab.formations import (
     f_hypercenter,
@@ -22,6 +23,7 @@ from grouplab.structure import (
     series,
 )
 
+import _formation_oracle as formation_oracle
 from _formation_oracle import is_f_central_generic
 
 SAMPLE = ["cyclic(1)", "cyclic(12)", "symmetric(3)", "dicyclic(2)",
@@ -104,7 +106,8 @@ def test_known_residuals():
 
 @pytest.mark.parametrize("F", ["N", "U", "S"])
 def test_residual_is_smallest_normal_with_quotient_in_f(F):
-    """[DERIVED] exhaustive: G/N in F <=> N contains the residual."""
+    """[DERIVED] exhaustive: G/N in F, decided on the explicit quotient
+    group, <=> N contains the residual."""
     for name in ["symmetric(3)", "symmetric(4)", "SL(2,3)", "dicyclic(3)",
                  "alternating(5)", "cyclic(30)"]:
         G = builtin_group(name)
@@ -112,21 +115,31 @@ def test_residual_is_smallest_normal_with_quotient_in_f(F):
         R = f_residual(G, F)
         rset = R.element_set()
         for N in ctx.normal_subgroups():
-            assert quotient_in_formation(ctx, N, F) == (
+            assert in_formation(ctx.quotient_ctx(N).group, F) == (
                 rset <= N.element_set()), (name, F, N.order)
 
 
+# the catalog groups of order <= 60, then S4 x E8 and E32 x C3 (748 normals)
+QUOTIENT_CASES = [e.group for e in load_catalog(core_catalog_path()).entries
+                  if e.group.order <= 60] + [builtin_group(name) for name in (
+                      "direct(symmetric(4),elementary_abelian(2,3))",
+                      "direct(elementary_abelian(2,5),cyclic(3))")]
+
+
 def test_quotient_in_formation_matches_explicit_quotient():
-    """Quotient-free membership test agrees with building the quotient."""
-    for name in ["symmetric(4)", "SL(2,3)", "dicyclic(3)",
-                 "direct(cyclic(2),symmetric(4))"]:
-        G = builtin_group(name)
+    """Quotient-free membership (N >= G^F) agrees with building the
+    quotient, and f_residual with the exhaustive scan over explicit
+    quotients."""
+    for G in QUOTIENT_CASES:
+        clear_contexts()
         ctx = context_of(G)
-        for N in ctx.normal_subgroups():
-            qctx = ctx.quotient_ctx(N)
-            for F in "NUS":
+        for F in "NUS":
+            assert f_residual(G, F) is formation_oracle.residual(ctx, F)
+            for N in ctx.normal_subgroups():
                 assert (quotient_in_formation(ctx, N, F)
-                        == in_formation(qctx.group, F)), (name, N.order, F)
+                        == in_formation(ctx.quotient_ctx(N).group, F)), (
+                            G.order, N.order, F)
+    clear_contexts()
 
 
 def test_hypercenter_preimage():

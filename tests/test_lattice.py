@@ -153,11 +153,10 @@ def test_core_and_subnormality():
     P = sylow(S4, 2)
     ctx = context_of(S4)
     assert ctx.core(P).order == 4  # V4
-    flag, _ = ctx.is_subnormal(P)
-    assert not flag
+    assert ctx.is_subnormal(P) is False
     A4 = ctx.O_upper_p(2)
     assert A4.order == 12
-    assert ctx.is_subnormal(A4)[0]
+    assert ctx.is_subnormal(A4) is True
 
 
 def test_named_subgroups_s4():
@@ -178,7 +177,7 @@ def test_subnormal_pi_subgroups_inside_o_pi():
         from grouplab.primes import prime_divisors as _primes_of
         for H in ctx.all_subgroups():
             pi = _primes_of(H.order)
-            if not pi or not ctx.is_subnormal(H)[0]:
+            if not pi or not ctx.is_subnormal(H):
                 continue
             pi_set = set(pi)
             o_pi = max(

@@ -1,9 +1,10 @@
 """The element-index lattice against the tuple-permutation oracle: the same
 subgroups, each with from_elements' greedy generators, in (order, element
-key) order."""
+key) order; and the greedy maximal-subgroup scan against the pairwise one."""
 
 import pytest
 
+import _lattice_oracle
 from _lattice_oracle import oracle_subgroup_keys
 from grouplab.catalog import (
     builtin_group,
@@ -99,6 +100,19 @@ def test_large_lattice_is_closed_under_cyclic_joins_and_conjugation(entry):
         conj = index.conjugation(index.position(s))
         for hmask, positions, _ in subs:
             assert index.mask(conj[x] for x in positions) in masks
+
+
+@pytest.mark.parametrize("entry", SMALL + LARGE,
+                         ids=[e.name for e in SMALL + LARGE])
+def test_maximal_subgroups_match_pairwise_scan(entry):
+    """The greedy scan keeps the same objects in the same order as the
+    pairwise one, for every subgroup of every catalog group."""
+    ctx = context_of(entry.group)
+    for K in ctx.all_subgroups():
+        got = ctx.maximal_subgroups_of(K)
+        want = _lattice_oracle.maximal_subgroups_of(ctx, K)
+        assert len(got) == len(want)
+        assert all(x is y for x, y in zip(got, want)), K.order
 
 
 @pytest.mark.parametrize("name, subgroups, classes", [

@@ -65,7 +65,7 @@ def test_s_permutable_implies_subnormal():
         ctx = context_of(G)
         for H in ctx.all_subgroups():
             if is_s_permutable(G, H).holds:
-                assert ctx.is_subnormal(H)[0], (name, H.order)
+                assert ctx.is_subnormal(H), (name, H.order)
 
 
 def test_fsq_holds_with_normal_witness():
