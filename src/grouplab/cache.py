@@ -56,14 +56,14 @@ def _path_for(G: Group) -> Path:
 
 
 def store_lattice(G: Group, subgroups: tuple[Group, ...]) -> None:
-    """Persist the subgroup list as element-index sets into G.elements()."""
-    elems = G.elements()
-    index = {e: i for i, e in enumerate(elems)}
+    """Persist the subgroup list as element-index sets into G.elements(),
+    read off the positions of G's context."""
+    ctx = context_of(G)
+    rank = {p: i for i, p in enumerate(ctx.positions(G))}
     lines = [MAGIC, f"key {group_cache_key(G)}", f"degree {G.degree}",
              f"order {G.order}", f"count {len(subgroups)}"]
     for H in subgroups:
-        idxs = sorted(index[e] for e in H.elements())
-        lines.append("sub " + " ".join(map(str, idxs)))
+        lines.append("sub " + " ".join(str(rank[p]) for p in ctx.positions(H)))
     path = _path_for(G)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file of its own, so concurrent writers of one group never mix
@@ -83,8 +83,7 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
     path = _path_for(G)
     if not path.exists():
         return None
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MAGIC:
         raise CacheError(f"{path}: bad magic header")
     try:
@@ -93,32 +92,32 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
             raise CacheError(f"{path}: key mismatch")
         if int(fields["degree"]) != G.degree or int(fields["order"]) != G.order:
             raise CacheError(f"{path}: group mismatch")
-        count = int(fields["count"])
-        subs = []
-        masks = set()
-        elems = G.elements()
-        ctx = context_of(G)   # closes each line on G's element index
+        subs: dict[int, Group] = {}   # mask -> subgroup
+        ctx = context_of(G)
+        at = ctx.positions(G)   # G.elements()[i] is at position at[i]
         for line in lines[5:]:
             if not line.strip():
                 continue
             kw, _, rest = line.partition(" ")
             if kw != "sub":
                 raise CacheError(f"{path}: unexpected line {line!r}")
-            members = [elems[int(i)] for i in rest.split()]
-            H = ctx.generated(members)
-            if H.order != len(members):
+            idxs = [int(i) for i in rest.split()]
+            if idxs != sorted(set(idxs)) or not 0 <= idxs[0] <= idxs[-1] < G.order:
+                raise CacheError(f"{path}: {line!r} is not a sorted index list")
+            # one closure: the greedy generators and the subgroup they make
+            gens, elems, mask = ctx._index.close([at[i] for i in idxs])
+            if len(elems) != len(idxs):
                 raise CacheError(f"{path}: {line!r} is not a subgroup")
-            if ctx.mask(H) in masks:
+            if mask in subs:
                 raise CacheError(f"{path}: {line!r} repeats a subgroup")
-            masks.add(ctx.mask(H))
-            subs.append(H)
-        if len(subs) != count:
-            raise CacheError(f"{path}: expected {count} subgroups, found {len(subs)}")
+            subs[mask] = ctx._group(mask, elems, gens)
+        if len(subs) != int(fields["count"]):
+            raise CacheError(f"{path}: expected {fields['count']} subgroups, found {len(subs)}")
     except CacheError:
         raise
     except Exception as exc:
         raise CacheError(f"{path}: corrupt cache file: {exc}") from exc
-    return tuple(subs)
+    return tuple(subs.values())
 
 
 def clear_cache() -> int:
@@ -126,14 +125,11 @@ def clear_cache() -> int:
     finished, which a killed writer leaves behind; returns the number
     removed.  A store running meanwhile may lose its temp file and fail."""
     d = cache_dir()
-    if not d.exists():
-        return 0
-    n = 0
-    for f in [*d.glob("*.lattice"), *d.glob(_TEMP_GLOB)]:
-        if f.is_file():
-            f.unlink()
-            n += 1
-    return n
+    files = [f for f in [*d.glob("*.lattice"), *d.glob(_TEMP_GLOB)]
+             if f.is_file()]
+    for f in files:
+        f.unlink()
+    return len(files)
 
 
 def cache_stats() -> dict:

@@ -11,13 +11,15 @@ grows by whole right cosets of a known subgroup, each the image of a listed
 coset under one generator column (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005, ch. 3-4).
 
-The subgroup lattice is the closure of the cyclic subgroups under joins
-<H, C> with a cyclic C, reduced by conjugacy classes (Neubüser, *Numer.
-Math.* 2, 1960): only the first-found member H0 of each class of subgroups
-is extended, and the rest of its class, the orbit of its elements under the
-generators' conjugation maps, is added when H0 is found.  This loses no
-subgroup: if H = H0^g, then <H, C> = <H0, C^(g^-1)>^g, and C^(g^-1) is
-cyclic too.
+The subgroup lattice is the closure of the zuppos, the cyclic subgroups of
+prime-power order, under joins <H, c> with a zuppo <c>, since every subgroup
+is generated by its zuppos (Neubüser, *Numer. Math.* 2, 1960; Cannon, Cox &
+Holt, *J. Symb. Comput.* 31, 2001).  Only the first-found member H0 of each
+class of subgroups is extended; the rest of its class, the orbit of its
+elements under the generators' conjugation maps, is added when H0 is found.
+This loses no subgroup: if H = H0^g, then <H, c> = <H0, c^(g^-1)>^g, and
+the zuppos are closed under conjugation.  And H is joined with one c per
+right coset Hc, as <H, c> = <H, hc>; the coset H holds each c in H.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from typing import Iterable, Sequence
 from .errors import BoundExceededError
 from .groups import MAX_SUBGROUPS
 from .perms import Permutation
+from .primes import prime_divisors
 
 
 class ElementIndex:
     """A group's elements by position, and its Cayley table by columns."""
 
-    __slots__ = ("elements", "generators", "_position", "_table", "_cyclic",
+    __slots__ = ("elements", "generators", "_position", "_table", "_zuppos",
                  "_orders", "_conjugations")
 
     def __init__(self, elements: Sequence[Permutation],
@@ -44,7 +47,7 @@ class ElementIndex:
         self._position = {e.images: i for i, e in enumerate(self.elements)}
         self.generators = [self.position(g) for g in generators]
         self._table: list[list[int]] = []
-        self._cyclic: list[list[int]] = []
+        self._zuppos: list[list[int]] = []
         self._orders: list[int] = []
         self._conjugations: dict[int, list[int]] = {}
 
@@ -89,11 +92,12 @@ class ElementIndex:
             conj = self._conjugations[j] = [col[c[inv]] for c in self._table]
         return conj
 
-    def cyclic(self) -> list[list[int]]:
-        """The powers [0, e, e^2, ...] of the first element e of each
-        non-trivial cyclic subgroup.  This one walk also gives every
-        element's order: the generators of a cyclic subgroup of order m are
-        its powers e^k with gcd(k, m) = 1, and each has order m."""
+    def zuppos(self) -> list[list[int]]:
+        """The powers [0, e, e^2, ...] of the first element e of each zuppo,
+        a cyclic subgroup of prime-power order.  The walk over all cyclic
+        subgroups also gives every element's order: the generators of a
+        cyclic subgroup of order m are its powers e^k with gcd(k, m) = 1,
+        and each has order m."""
         if not self._orders:
             orders = [1] * len(self.elements)
             for e in range(1, len(self.elements)):
@@ -106,13 +110,14 @@ class ElementIndex:
                     for k in range(1, m):
                         if gcd(k, m) == 1:
                             orders[powers[k]] = m
-                    self._cyclic.append(powers)
+                    if len(prime_divisors(m)) == 1:
+                        self._zuppos.append(powers)
             self._orders = orders
-        return self._cyclic
+        return self._zuppos
 
     def orders(self) -> list[int]:
         """orders[i] is the order of elements[i]."""
-        self.cyclic()
+        self.zuppos()
         return self._orders
 
     def mask(self, positions: Iterable[int]) -> int:
@@ -160,36 +165,34 @@ class ElementIndex:
         return gens, elems, mask
 
     def subgroups(self) -> dict[int, list[int]]:
-        """Every subgroup, mask -> elements: the cyclic subgroups closed under
-        joins <H, C> with a cyclic C, one H per conjugacy class.  Raises
-        BoundExceededError as soon as more than MAX_SUBGROUPS are found."""
+        """Every subgroup, mask -> elements: the trivial group closed under
+        joins <H, c> with a zuppo <c>, one H per conjugacy class and one c
+        per right coset Hc.  Raises BoundExceededError as soon as more than
+        MAX_SUBGROUPS are found."""
         conj = [self.conjugation(g) for g in self.generators]
-        seeds = [(self.mask(powers), powers, [powers[1]])
-                 for powers in self.cyclic()]
         # found is a union of whole classes; only the first-found member of
-        # each class goes on the worklist.  The seeds alone stay within the
-        # bound: there are fewer cyclic subgroups than elements, at most
-        # MAX_ORDER
+        # each class goes on the worklist
         found = {1: [0]}
-        worklist = []
-        for seed in seeds:
-            if seed[0] not in found:
-                found.update(self.orbit(seed[1], conj))
-                worklist.append(seed)
+        worklist = [(1, [0], [])]
         while worklist:
             hmask, helems, hgens = worklist.pop()
-            for cmask, _, cgens in seeds:
-                if not cmask & ~hmask or not hmask & ~cmask:
-                    continue   # one contains the other: the join is known
-                gens = hgens + cgens
-                elems, mask = self.extend(helems, hmask, gens)
+            # hmask's binary digits, reversed: a "1" (49) marks each x with
+            # <H, x> known, in H or in a coset Hc joined so far (<H, hc> = <H, c>)
+            joined = bytearray(format(hmask, f"0{len(self.elements)}b")[::-1], "ascii")
+            for c in [powers[1] for powers in self.zuppos()]:
+                if joined[c] == 49:
+                    continue
+                col = self.column(c)
+                for h in helems:
+                    joined[col[h]] = 49
+                elems, mask = self.extend(helems, hmask, hgens + [c])
                 if mask not in found:
                     found.update(self.orbit(elems, conj))
                     if len(found) > MAX_SUBGROUPS:
                         raise BoundExceededError(
                             f"more than {MAX_SUBGROUPS} subgroups exceed "
                             f"the desk bound")
-                    worklist.append((mask, elems, gens))
+                    worklist.append((mask, elems, hgens + [c]))
         return found
 
     def orbit(self, elems: list[int],

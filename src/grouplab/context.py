@@ -182,10 +182,11 @@ class GroupContext:
         self._inside(mask)
         return H
 
-    def _group(self, mask: int, elems: Optional[list[int]] = None) -> Group:
-        """The tree's Group with this mask, built on first use with its
-        greedy generators and stamped with its place; elems, its positions
-        in any order, spares reading them off the mask."""
+    def _group(self, mask: int, elems: Optional[list[int]] = None,
+               gens: Optional[list[int]] = None) -> Group:
+        """The tree's Group with this mask, built on first use and stamped
+        with its place.  elems, its positions in any order, and gens, its
+        greedy generators' positions, spare the mask scan and a closure."""
         H = self._registry.get(mask)
         if H is None:
             elems = sorted(elems) if elems is not None else [
@@ -193,7 +194,7 @@ class GroupContext:
             at = self._index.elements
             H = self._registry[mask] = Group(
                 self.group.degree,
-                [at[i] for i in self._index.close(elems)[0]],
+                [at[i] for i in gens or self._index.close(elems)[0]],
                 _skip_degree_check=True, _closure=[at[i] for i in elems])
             object.__setattr__(H, "_place", (self._tree, mask, elems))
         return H
@@ -345,7 +346,7 @@ class GroupContext:
     @memoized
     def all_subgroups(self) -> tuple[Group, ...]:
         """Every subgroup, sorted by (order, element key): on a root, the
-        index's join closure of the cyclic subgroups."""
+        index's join closure of the zuppos."""
         if self._root is not None:
             return self._root.subgroups_of(self.group)
         from . import cache as _cache

@@ -5,7 +5,13 @@ This is the lattice algorithm grouplab ran before its element index:
 cyclic subgroups found by multiplying permutations, then every join
 <H, C> of a found subgroup H with a cyclic subgroup C closed by a BFS over
 generator products from the identity (``groups.closure``).  It uses no
-Cayley table, no mask and no registry.
+Cayley table, no mask and no registry, and no class or coset reduction:
+it joins every found subgroup with every cyclic subgroup.
+
+``one_element_extension_keys`` is another algorithm again: from the trivial
+group, <H, g> for every found H and every element g, closed the same way.
+It has no seeds, so it does not rest on the subgroups being generated by
+their cyclic or zuppo subgroups.
 
 ``maximal_subgroups_of`` is the pairwise scan the context ran before its
 greedy one: a proper subgroup of K is maximal unless it lies strictly
@@ -41,6 +47,25 @@ def oracle_subgroup_keys(G: Group) -> set[frozenset]:
             if ckey <= hkey:
                 continue
             gens = hgens + cgens
+            jkey = frozenset(p.images for p in closure(degree, gens))
+            if jkey not in found:
+                found[jkey] = gens
+                worklist.append((jkey, gens))
+    return set(found)
+
+
+def one_element_extension_keys(G: Group) -> set[frozenset]:
+    """The element key of every subgroup of G, each found as <H, g>."""
+    degree = G.degree
+    trivial = frozenset((identity(degree).images,))
+    found = {trivial: []}
+    worklist = [(trivial, [])]
+    while worklist:
+        hkey, hgens = worklist.pop()
+        for g in G.elements():
+            if g.images in hkey:
+                continue
+            gens = hgens + [g]
             jkey = frozenset(p.images for p in closure(degree, gens))
             if jkey not in found:
                 found[jkey] = gens

@@ -167,3 +167,58 @@ def test_line_repeating_a_subgroup_fails_loudly(cache_env):
     _replace_sub_line(p, 1, _sub_lines(p)[2])
     with pytest.raises(CacheError, match="repeats a subgroup"):
         cache.load_lattice(G)
+
+
+@pytest.mark.parametrize("which", ["sylow(2)", "A4"])
+def test_roundtrip_of_a_registry_subgroup(cache_env, which):
+    """A subgroup of S4 from the registry has a context that is not a root:
+    its file indexes its own elements, not the root's positions."""
+    ctx = context_of(symmetric(4))
+    K = ctx.sylow(2) if which == "sylow(2)" else next(
+        N for N in ctx.normal_subgroups() if N.order == 12)
+    assert K._place[0]() is ctx   # a registry subgroup, in S4's tree
+    subs = context_of(K).all_subgroups()
+    cache.store_lattice(K, subs)
+    indexes = [list(map(int, line.split()[1:]))
+               for line in _sub_lines(next(cache_env.glob("*.lattice")))]
+    assert indexes[-1] == list(range(K.order))
+    assert indexes == [sorted(K.elements().index(e) for e in H.elements())
+                       for H in subs]
+    loaded = cache.load_lattice(K)
+    assert len(loaded) == len(subs)
+    assert all(A is B for A, B in zip(loaded, subs))
+
+
+@pytest.mark.parametrize("bad", ["negative", "too large", "repeated",
+                                 "unsorted"])
+def test_line_that_is_not_a_sorted_index_list_fails_loudly(cache_env, bad):
+    """-|G| would name the identity through Python's negative indexing, and
+    an unsorted line would close to the right subgroup: both are refused."""
+    G = symmetric(3)
+    cache.store_lattice(G, context_of(G).all_subgroups())
+    p = next(cache_env.glob("*.lattice"))
+    zero, a = map(int, _sub_lines(p)[1].split()[1:])   # an order-2 subgroup
+    text = {"negative": f"sub {zero - G.order} {a}",
+            "too large": f"sub {zero} {G.order}",
+            "repeated": f"sub {zero} {a} {a}",
+            "unsorted": f"sub {a} {zero}"}[bad]
+    _replace_sub_line(p, 1, text)
+    with pytest.raises(CacheError, match="not a sorted index list"):
+        cache.load_lattice(G)
+
+
+def test_hand_written_file_loads(cache_env):
+    """A file written by hand in the version-1 format: one `sub` line per
+    subgroup, the sorted indexes of its elements in G.elements()."""
+    G = symmetric(3)
+    assert [e.images for e in G.elements()] == [
+        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    cache._path_for(G).write_text(
+        "grouplab-lattice 1\n"
+        f"key {cache.group_cache_key(G)}\n"
+        "degree 3\norder 6\ncount 6\n"
+        "sub 0\nsub 0 1\nsub 0 2\nsub 0 5\nsub 0 3 4\nsub 0 1 2 3 4 5\n")
+    loaded = cache.load_lattice(G)
+    subs = context_of(G).all_subgroups()
+    assert [H.key for H in loaded] == [H.key for H in subs]
+    assert [H.generators for H in loaded] == [H.generators for H in subs]

@@ -1,11 +1,13 @@
-"""The element-index lattice against the tuple-permutation oracle: the same
+"""The element-index lattice against the tuple-permutation oracles: the same
 subgroups, each with from_elements' greedy generators, in (order, element
-key) order; and the greedy maximal-subgroup scan against the pairwise one."""
+key) order; a closure certificate above order 60; the kernel's zuppo seeds
+and its join count; and the greedy maximal-subgroup scan against the
+pairwise one."""
 
 import pytest
 
 import _lattice_oracle
-from _lattice_oracle import oracle_subgroup_keys
+from _lattice_oracle import one_element_extension_keys, oracle_subgroup_keys
 from grouplab.catalog import (
     builtin_group,
     core_catalog_path,
@@ -15,10 +17,12 @@ from grouplab.catalog import (
 from grouplab.cayley import ElementIndex
 from grouplab.context import clear_contexts, context_of, subgroup_sort_key
 from grouplab.groups import from_elements
+from grouplab.primes import prime_divisors
 from grouplab.theorems import verify_case
 
 SMALL = [e for e in load_catalog(core_catalog_path()).entries
          if e.group.order <= 60]
+TINY = [e for e in SMALL if e.group.order <= 24]
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +46,14 @@ def test_catalog_lattice_matches_oracle(entry):
     check_lattice(entry.group)
 
 
+@pytest.mark.parametrize("entry", TINY, ids=[e.name for e in TINY])
+def test_catalog_lattice_matches_one_element_extension(entry):
+    """No seeds and no reduction: <H, g> for every found H and element g."""
+    G = entry.group
+    assert one_element_extension_keys(G) == {
+        H.key for H in context_of(G).all_subgroups()}
+
+
 def test_quotient_lattices_match_oracle():
     """The quotient contexts L2.1b makes on S4, one for each normal subgroup,
     are roots with element indexes of their own."""
@@ -61,6 +73,9 @@ def test_quotient_lattices_match_oracle():
 # ones.  Each check runs on a fresh element index of the group.
 LARGE = [e for e in load_catalog(core_catalog_path()).entries
          if e.group.order > 60]
+# 748 subgroups, all normal: the class reduction saves nothing.  S4 x E8
+# (2,398 subgroups) is left out: its certificate takes about 5 s on 2 vCPUs.
+PROBE = "direct(elementary_abelian(2,5),cyclic(3))"
 
 
 def cyclic_subgroups(index: ElementIndex) -> dict[int, int]:
@@ -76,9 +91,9 @@ def cyclic_subgroups(index: ElementIndex) -> dict[int, int]:
     return cyclic
 
 
-@pytest.mark.parametrize("entry", LARGE, ids=[e.name for e in LARGE])
-def test_large_lattice_is_closed_under_cyclic_joins_and_conjugation(entry):
-    G = entry.group
+@pytest.mark.parametrize("G", [e.group for e in LARGE] + [builtin_group(PROBE)],
+                         ids=[e.name for e in LARGE] + [PROBE])
+def test_large_lattice_is_closed_under_cyclic_joins_and_conjugation(G):
     index = ElementIndex(G.elements(), G.generators)
     subs = []
     for H in context_of(G).all_subgroups():
@@ -126,18 +141,48 @@ def test_published_subgroup_counts(name, subgroups, classes):
     assert len(ctx.subgroup_classes()) == classes
 
 
+def zuppo_masks(index: ElementIndex) -> dict[int, int]:
+    """mask of <g> -> g, for the cyclic subgroups of prime-power order."""
+    return {mask: g for mask, g in cyclic_subgroups(index).items()
+            if len(prime_divisors(mask.bit_count())) == 1}
+
+
+@pytest.mark.parametrize("name", ["symmetric(5)", "SL(2,5)",
+                                  "direct(cyclic(3),symmetric(3))", PROBE])
+def test_seeds_are_the_zuppos(name, monkeypatch):
+    """The kernel's seeds are the cyclic subgroups of prime-power order,
+    each given by its first generator, and it joins with nothing else: no
+    generator it extends by has an order divisible by two primes."""
+    G = builtin_group(name)
+    index = ElementIndex(G.elements(), G.generators)
+    zuppos = index.zuppos()
+    assert {index.mask(p): p[1] for p in zuppos} == zuppo_masks(index)
+    generators = {p[1] for p in zuppos}
+    joined = set()
+    extend = ElementIndex.extend
+    def recording(self, elems, mask, gens):
+        joined.update(gens)
+        return extend(self, elems, mask, gens)
+    monkeypatch.setattr(ElementIndex, "extend", recording)
+    index.subgroups()
+    assert joined and joined <= generators
+
+
 def test_only_class_representatives_are_extended(monkeypatch):
-    """The join closure extends one subgroup per conjugacy class: at most
-    (classes) x (cyclic subgroups) calls of extend on S5, where extending
-    every subgroup takes thousands."""
+    """The join closure extends the trivial group and one subgroup per
+    further conjugacy class, by one zuppo generator per right coset: at most
+    (classes) x (zuppos) calls of extend on S5, 19 x 56, where extending
+    every subgroup by every cyclic subgroup takes thousands.  The kernel
+    makes 366."""
     G = symmetric(5)
     classes = len(context_of(G).subgroup_classes())
     index = ElementIndex(G.elements(), G.generators)
-    seeds = len(cyclic_subgroups(index)) - 1   # the trivial one is no seed
+    zuppos = len(zuppo_masks(index))
+    assert (classes, zuppos) == (19, 56)
     calls = []
     extend = ElementIndex.extend
     monkeypatch.setattr(ElementIndex, "extend",
                         lambda *args: calls.append(1) or extend(*args))
     found = index.subgroups()
     assert len(found) == 156
-    assert 0 < len(calls) <= classes * seeds
+    assert 0 < len(calls) <= classes * zuppos
