@@ -56,8 +56,7 @@ def _path_for(G: Group) -> Path:
 
 
 def store_lattice(G: Group, subgroups: tuple[Group, ...]) -> None:
-    """Persist the subgroup list as element-index sets into G.elements(),
-    read off the positions of G's context."""
+    """Persist the subgroup list as element-index sets into G.elements()."""
     ctx = context_of(G)
     rank = {p: i for i, p in enumerate(ctx.positions(G))}
     lines = [MAGIC, f"key {group_cache_key(G)}", f"degree {G.degree}",
@@ -83,7 +82,8 @@ def load_lattice(G: Group) -> Optional[tuple[Group, ...]]:
     path = _path_for(G)
     if not path.exists():
         return None
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise CacheError(f"{path}: bad magic header")
     try:
@@ -125,11 +125,14 @@ def clear_cache() -> int:
     finished, which a killed writer leaves behind; returns the number
     removed.  A store running meanwhile may lose its temp file and fail."""
     d = cache_dir()
-    files = [f for f in [*d.glob("*.lattice"), *d.glob(_TEMP_GLOB)]
-             if f.is_file()]
-    for f in files:
-        f.unlink()
-    return len(files)
+    if not d.exists():
+        return 0
+    n = 0
+    for f in [*d.glob("*.lattice"), *d.glob(_TEMP_GLOB)]:
+        if f.is_file():
+            f.unlink()
+            n += 1
+    return n
 
 
 def cache_stats() -> dict:

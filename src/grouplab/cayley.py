@@ -176,15 +176,12 @@ class ElementIndex:
         worklist = [(1, [0], [])]
         while worklist:
             hmask, helems, hgens = worklist.pop()
-            # hmask's binary digits, reversed: a "1" (49) marks each x with
-            # <H, x> known, in H or in a coset Hc joined so far (<H, hc> = <H, c>)
-            joined = bytearray(format(hmask, f"0{len(self.elements)}b")[::-1], "ascii")
+            # <H, x> is known for x in H and in each coset Hc joined so far
+            joined = set(helems)
             for c in [powers[1] for powers in self.zuppos()]:
-                if joined[c] == 49:
+                if c in joined:
                     continue
-                col = self.column(c)
-                for h in helems:
-                    joined[col[h]] = 49
+                joined.update(map(self.column(c).__getitem__, helems))
                 elems, mask = self.extend(helems, hmask, hgens + [c])
                 if mask not in found:
                     found.update(self.orbit(elems, conj))

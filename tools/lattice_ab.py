@@ -10,13 +10,14 @@ checkout first in even ones.  Each pair also times
 ``ElementIndex.subgroups()`` on the desk-bound probes in both trees, with
 the Cayley table and the element orders built beforehand.
 
-The JSON it writes holds every pair's metrics and, for each metric, the
-median of the paired ratios (this checkout over the base), the number of
-pairs in which this checkout is better, and the median and quartiles of
-each side.  It adds, once per tree, the ``extend`` calls of the lattice
-kernel, ``src.lines``, the report-body and verdict digests of
-``run_suite(core, THEOREM_IDS, jobs=2)``, ``nproc`` and the Python version.
-It exits 1 if a run is not ``"correct"`` or has failed operations.
+Every run lasts BENCHMARK.json's ``run_seconds``, and run.py checks it
+against the digests in perfbench/reference.json.  The JSON it writes holds
+every pair's metrics and, for each metric, the median of the paired ratios
+(this checkout over the base), the number of pairs in which this checkout
+is better, and the median and quartiles of each side.  It adds, once per
+tree, the ``extend`` calls of the lattice kernel and ``src.lines``, and the
+reference digests, ``nproc`` and the Python version.  It exits 1 if a run
+is not ``"correct"`` or has failed operations.
 """
 
 from __future__ import annotations
@@ -68,27 +69,10 @@ for name in json.loads(sys.argv[2]):
 print(json.dumps(out))
 '''
 
-DIGEST_SCRIPT = r'''
-import hashlib, json
-import grouplab as gl
-from grouplab import harness
-from grouplab.catalog import core_catalog_path, load_catalog
-report = gl.run_suite(load_catalog(core_catalog_path()), gl.THEOREM_IDS, jobs=2)
-rows = [[g["group"], c["theorem"], json.dumps(c["params"], sort_keys=True),
-         c["verdict"], c["hypothesis"], c["conclusion"]]
-        for g in report["groups"] for c in g["cases"]]
-print(json.dumps({
-    "body": hashlib.sha256(harness.report_body_without_timing(report)).hexdigest(),
-    "verdict": hashlib.sha256(json.dumps(rows).encode()).hexdigest()}))
-'''
-
-
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the git revision to compare with")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=5.0,
-                    help="perfbench/run.py --seconds")
     ap.add_argument("--out", required=True, type=Path)
     return ap.parse_args(argv)
 
@@ -152,6 +136,7 @@ def main(argv=None) -> int:
     base = head / ".perfbench" / f"ab-{commit[:12]}"
     spec = json.loads((head / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = str(spec["run_seconds"])
     trees = {"base": base, "head": head}
     problems = []
     git("worktree", "add", "--detach", str(base), commit)
@@ -163,7 +148,9 @@ def main(argv=None) -> int:
                                           "--untracked-files=no"))},
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
-            "pairs": args.pairs, "seconds": args.seconds,
+            "pairs": args.pairs, "run_seconds": spec["run_seconds"],
+            "reference": json.loads((head / "perfbench" / "reference.json")
+                                    .read_text(encoding="utf-8")),
             "workloads": {},
         }
         for workload in WORKLOADS:
@@ -174,7 +161,7 @@ def main(argv=None) -> int:
                 for side in order:
                     res = python(trees[side], "perfbench/run.py",
                                  "--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(args.seconds), "--trace", "0")
+                                 "--seconds", seconds, "--trace", "0")
                     if not res["correct"] or res["failed"]:
                         problems.append(f"{workload} seed {seed} {side}: "
                                         f"correct={res['correct']} "
@@ -201,7 +188,6 @@ def main(argv=None) -> int:
                 tree, "-c", PROBE_SCRIPT, "count",
                 json.dumps(["symmetric(5)", *PROBES]))
             report[side]["src.lines"] = src_lines(tree)
-            report[side]["digests"] = python(tree, "-c", DIGEST_SCRIPT)
         report["problems"] = problems
         args.out.write_text(json.dumps(report, indent=1) + "\n",
                             encoding="utf-8")
