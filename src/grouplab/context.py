@@ -20,8 +20,8 @@ context in the same tree: it shares the root's registry and reads its
 lattice off the root's.  No linking call is needed.  A Group built outside
 every registry gets a root context of its own, even when a registry holds
 its element set (unless a context for that set is cached); so does a
-quotient G/N, built once by :meth:`GroupContext.coset_action` from the
-element index's right-coset labels.
+quotient G/N, built once by ``coset_action``.  ``ctx.quotient(N)``, the one
+door to G/N, returns its context and ``image``: K to KN/N in its registry.
 
 Each root also owns the element index of its group
 (:class:`~grouplab.cayley.ElementIndex`): every context in the tree closes
@@ -32,8 +32,8 @@ A registry subgroup knows its place: the registry stamps it with the tree
 other Group.  The mask is a subgroup's identity in the analysis layers:
 ``ctx.mask(H)`` is the one subgroup check, ``ctx.le(A, B)`` the one
 containment test, and equal masks are equal subgroups.  The section kernels
-(quotient images, conjugation of elements and subgroups, centralizers of
-chief factors, joins, intersections and HK = KH) read positions off the
+(images in quotients, conjugation of elements and subgroups, centralizers
+of chief factors, joins, intersections and HK = KH) read positions off the
 index; permutations are only built where a subgroup enters or leaves it.
 """
 
@@ -540,18 +540,19 @@ class GroupContext:
         qpos = qctx._at(elems)
         return qctx, [qpos[c] if c >= 0 else -1 for c in coset]
 
-    def quotient_ctx(self, N: Group) -> "GroupContext":
-        """The context of G/N: this one for N = 1."""
-        return self if N.order == 1 else self.coset_action(N)[0]
-
-    def quotient_image(self, N: Group, K: Group) -> Group:
-        """KN/N as the quotient context's own subgroup object: K's positions
-        mapped through the coset action's position map, found in the
-        quotient's registry by mask."""
-        if N.order == 1:
-            return self._subgroup_at(self.positions(K))
-        qctx, q = self.coset_action(N)
-        return qctx._subgroup_at({q[i] for i in self.positions(K)})
+    def quotient(self, N: Group) -> tuple["GroupContext", Callable]:
+        """G/N's context (this one for N = 1) and image, image(K) = KN/N in
+        its registry, by mask: the OR of the bits of K's images.  Not stored:
+        image refers to this context (coset_action's context is another root)."""
+        qctx, q = ((self, range(len(self._index.elements))) if N.order == 1
+                   else self.coset_action(N))
+        bit = [1 << j if j >= 0 else 0 for j in q]
+        def image(K: Group) -> Group:
+            mask = 0
+            for i in self.positions(K):
+                mask |= bit[i]
+            return qctx._group(mask)
+        return qctx, image
 
     # ------------------------------------------------------------------
     # chief factors
@@ -596,14 +597,12 @@ class GroupContext:
         """C_G(upper/lower): the elements g of G whose commutator with every
         element of upper lies in lower.  For lower = 1 this is C_G(upper);
         for upper = G, the preimage of Z(G/lower).  Lower must be normal in G:
-        then [g, h] lies in lower exactly when lower h g = lower g h, and the
-        generators h of upper suffice."""
+        then [g, h] lies in lower exactly when lower g^h = lower g, read off
+        h's conjugation map, and the generators h of upper suffice."""
         if not self.is_normal(lower):
             raise NotNormalError("lower is not a normal subgroup of G")
         label = self._coset_labels(lower)
-        index = self._index
         out = self.positions(self.group)
-        for h in self._at(upper.generators):
-            col = index.column(h)
-            out = [g for g in out if label[index.column(g)[h]] == label[col[g]]]
+        for c in map(self._index.conjugation, self._at(upper.generators)):
+            out = [g for g in out if label[c[g]] == label[g]]
         return self._subgroup_at(out)

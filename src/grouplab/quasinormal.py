@@ -27,7 +27,7 @@ __all__ = [
 _HT_NOTE = "H*T required to be a subgroup (automatic: T normal), then s-permutable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of an embedding-predicate check.
 
@@ -38,6 +38,11 @@ class Verdict:
     witness: Optional[Group] = None
     witness_kind: str = ""
     detail: str = ""
+
+
+_HOLDS, _FAILS = Verdict(True), Verdict(False)   # witness-less: one each
+_NORMAL = Verdict(True, detail="normal subgroup")
+_NO_T = Verdict(False, detail=_HT_NOTE)
 
 
 def is_s_permutable(G: Group, H: Group) -> Verdict:
@@ -76,7 +81,7 @@ def s_permutable(ctx: GroupContext, H: Group) -> Verdict:
     Sylow subgroup in deterministic order.
     """
     if ctx.normalizes(ctx.group, H):
-        return Verdict(True, detail="normal subgroup")
+        return _NORMAL
     for p in ctx.primes():
         sylows = ctx.sylow_all(p)
         if len(sylows) == 1:
@@ -85,7 +90,7 @@ def s_permutable(ctx: GroupContext, H: Group) -> Verdict:
             if not ctx.permutes(H, P):
                 return Verdict(False, witness=P, witness_kind="failing_sylow",
                                detail=f"does not permute with a Sylow {p}-subgroup")
-    return Verdict(True)
+    return _HOLDS
 
 
 @memoized
@@ -113,7 +118,7 @@ def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
         if s_permutable(ctx, ctx.join(H, T)).holds:
             return Verdict(True, witness=T, witness_kind="normal_T",
                            detail=_HT_NOTE)
-    return Verdict(False, detail=_HT_NOTE)
+    return _NO_T
 
 
 @memoized
@@ -150,4 +155,4 @@ def f_supplement(ctx: GroupContext, H: Group, kind: str,
         for T in cls:
             if ctx.product_size(H, T) == G.order:
                 return Verdict(True, witness=T, witness_kind="supplement")
-    return Verdict(False)
+    return _FAILS

@@ -122,7 +122,7 @@ _PREDICATES = {
                               and len(ctx.normal_subgroups()) == 2),
     "quasisimple": lambda ctx, p: (
         holds(ctx, "perfect") and ctx.group.order > 1
-        and holds(ctx.quotient_ctx(ctx.center()), "simple")),
+        and holds(ctx.quotient(ctx.center())[0], "simple")),
     "quasinilpotent": lambda ctx, p: (generalized_fitting_of(ctx).order
                                       == ctx.group.order),
     "p_group": _p_group,

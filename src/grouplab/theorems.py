@@ -176,13 +176,6 @@ def _gcd_tower(order: int, p: int, n: int) -> bool:
     return math.gcd(order, prod) == 1
 
 
-def _fstar_images(ctx: GroupContext, N: Group,
-                  fs_g: Group) -> tuple[GroupContext, Group, Group]:
-    """The context of G/N, the image of F*(G) = fs_g in G/N, and F*(G/N)."""
-    qctx = ctx.quotient_ctx(N)
-    return qctx, ctx.quotient_image(N, fs_g), generalized_fitting_of(qctx)
-
-
 # ---------------------------------------------------------------------------
 # witness re-checks (independent second evaluation paths)
 
@@ -221,11 +214,10 @@ def _corresponds(pred):
     def encode(ctx, params, wit):
         subs = ctx.all_subgroups()
         for N in ctx.normal_subgroups():
-            qctx = ctx.quotient_ctx(N)
+            qctx, image = ctx.quotient(N)
             for K in subs:
                 if ctx.le(N, K):
-                    yield (pred(qctx, ctx.quotient_image(N, K), params),
-                           pred(ctx, K, params))
+                    yield pred(qctx, image(K), params), pred(ctx, K, params)
     return encode
 
 
@@ -266,10 +258,10 @@ def _enc_l221(ctx, params, wit):
 def _enc_l223(ctx, params, wit):
     F = params["formation"]
     for N in ctx.normal_subgroups():
-        qctx = ctx.quotient_ctx(N)
+        qctx, image = ctx.quotient(N)
         for E in _class_reps(ctx):
             if math.gcd(N.order, E.order) == 1 and _fsq(ctx, E, F):
-                yield _fsq(qctx, ctx.quotient_image(N, E), F)
+                yield _fsq(qctx, image(E), F)
 
 
 def _enc_l226(ctx, params, wit):
@@ -316,11 +308,13 @@ def _enc_l26(ctx, params, wit):
 
 
 def _enc_l271(ctx, params, wit):
-    for H in _class_reps(ctx):
-        if _supplement(ctx, H, params):
-            yield all(_supplement(ctx.quotient_ctx(N),
-                                  ctx.quotient_image(N, H), params)
-                      for N in ctx.normal_subgroups())
+    reps = [H for H in _class_reps(ctx) if _supplement(ctx, H, params)]
+    ok = [True] * len(reps)
+    for N in ctx.normal_subgroups():   # each H until its first failing N
+        qctx, image = ctx.quotient(N)
+        for i, H in enumerate(reps):
+            ok[i] = ok[i] and _supplement(qctx, image(H), params)
+    yield from ok
 
 
 def _enc_l28(ctx, params, wit):
@@ -368,8 +362,8 @@ def _enc_l2122(ctx, params, wit):
     fs_g = generalized_fitting_of(ctx)
     for N in ctx.normal_subgroups():
         if ctx.le(N, fs_g):
-            qctx, img, fs_q = _fstar_images(ctx, N, fs_g)
-            yield qctx.le(img, fs_q)
+            qctx, image = ctx.quotient(N)
+            yield qctx.le(image(fs_g), generalized_fitting_of(qctx))
 
 
 def _enc_l2123(ctx, params, wit):
@@ -401,16 +395,16 @@ def _enc_l2125(ctx, params, wit):
     ZE = ectx.center()
     ok = ok and (ctx.mask(fit) & ctx.mask(E)) == ctx.mask(ZE)
     yield ok and (E.order == ZE.order
-                  or _semisimple_nonabelian(ectx.quotient_ctx(ZE).group))
+                  or _semisimple_nonabelian(ectx.quotient(ZE)[0].group))
 
 
 def _enc_l2131(ctx, params, wit):
     fs_g = generalized_fitting_of(ctx)
     for H in ctx.normal_subgroups():
         if is_soluble(H):
-            qctx, img, fs_q = _fstar_images(ctx, context_of(H).frattini(),
-                                            fs_g)
-            yield qctx.mask(img) == qctx.mask(fs_q)
+            qctx, image = ctx.quotient(context_of(H).frattini())
+            yield qctx.mask(image(fs_g)) == qctx.mask(
+                generalized_fitting_of(qctx))
 
 
 def _enc_l2132(ctx, params, wit):
@@ -419,8 +413,9 @@ def _enc_l2132(ctx, params, wit):
     for K in ctx.normal_subgroups():
         if K.order > 1 and len(prime_divisors(K.order)) == 1 \
                 and ctx.le(K, Z):
-            qctx, img, fs_q = _fstar_images(ctx, K, fs_g)
-            yield qctx.mask(img) == qctx.mask(fs_q)
+            qctx, image = ctx.quotient(K)
+            yield qctx.mask(image(fs_g)) == qctx.mask(
+                generalized_fitting_of(qctx))
 
 
 def _enc_l31(ctx, params, wit):

@@ -67,7 +67,7 @@ def residual(ctx: GroupContext, formation: str) -> Group:
     """G^F: the first normal subgroup, in the normal-list order, whose
     explicit quotient group lies in F; it must lie in every other one."""
     qualifying = [N for N in ctx.normal_subgroups()
-                  if in_formation(ctx.quotient_ctx(N).group, formation)]
+                  if in_formation(ctx.quotient(N)[0].group, formation)]
     best = qualifying[0]
     if not all(ctx.le(best, N) for N in qualifying):
         raise AssertionError("residual is not unique")

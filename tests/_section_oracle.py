@@ -2,7 +2,7 @@
 index.
 
 These are the routines grouplab ran before it read conjugation, cosets,
-quotients, quotient images and preimages off its element index.  Every
+quotients, images in quotients and preimages off its element index.  Every
 element is a ``Permutation`` and every product is computed; they use no
 Cayley table, no position and no mask.  Each returns element keys, element
 sets or a fresh quotient, so a test can compare it with the kernel's
@@ -74,6 +74,20 @@ def chief_centralizer(G: Group, lower: Group, upper: Group) -> frozenset:
                for h in upper.generators))
 
 
+def chief_centralizer_by_columns(ctx, lower: Group, upper: Group) -> int:
+    """The mask of C_G(upper/lower) by the filter the kernel used before it
+    read conjugation maps: g stays when lower h g = lower g h for every
+    generator h of upper, with both products read off Cayley columns, one
+    column per surviving g."""
+    label = ctx._coset_labels(lower)
+    index = ctx._index
+    out = ctx.positions(ctx.group)
+    for h in ctx._at(upper.generators):
+        col = index.column(h)
+        out = [g for g in out if label[index.column(g)[h]] == label[col[g]]]
+    return index.mask(out)
+
+
 def permutes(H: Group, K: Group) -> bool:
     """HK = KH, by comparing the two product sets."""
     hk = {h * k for h in H.elements() for k in K.elements()}
@@ -87,7 +101,7 @@ def product_size(H: Group, K: Group) -> int:
     return H.order * K.order // len(inter)
 
 
-def quotient_image_key(hom: Homomorphism, K: Group) -> frozenset:
+def image_key(hom: Homomorphism, K: Group) -> frozenset:
     """The element key of KN/N, closed from the images of K's generators."""
     return hom.image_of_subgroup(K).key
 

@@ -56,7 +56,7 @@ def test_catalog_covers_match_oracle(entry):
 
 def test_s4_quotient_covers_match_oracle():
     ctx = context_of(symmetric(4))
-    quotients = [ctx.quotient_ctx(N) for N in ctx.normal_subgroups()]
+    quotients = [ctx.quotient(N)[0] for N in ctx.normal_subgroups()]
     assert [Q.group.order for Q in quotients] == [24, 6, 2, 1]
     for qctx in quotients:
         check_covers(qctx)

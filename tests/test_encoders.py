@@ -73,11 +73,12 @@ def test_corresponds_fails_when_the_quotient_disagrees(monkeypatch):
         ("fail", False, True)
 
 
-def test_quotient_image_is_the_quotient_lattice_member():
-    """KN/N from the quotient context's registry: the same subgroup as its
-    image under the permutation oracle's quotient map (K itself for N = 1,
-    whose quotient context is G's), and the very object of the quotient
-    lattice, whether the image or the lattice is made first."""
+def test_image_is_the_quotient_lattice_member():
+    """ctx.quotient(N)'s image(K) is KN/N from the quotient context's
+    registry: the same subgroup as its image under the permutation oracle's
+    quotient map (K itself for N = 1, whose quotient context is G's), and
+    the very object of the quotient lattice, whether the image or the
+    lattice is made first, from either of two calls."""
     checked = 0
     for entry in load_catalog(core_catalog_path()).entries:
         G = entry.group
@@ -87,15 +88,15 @@ def test_quotient_image_is_the_quotient_lattice_member():
         ctx = context_of(G)
         subs = ctx.all_subgroups()
         for N in ctx.normal_subgroups():
-            qctx = ctx.quotient_ctx(N)
+            qctx, image = ctx.quotient(N)
             hom = oracle.coset_quotient(G, N).epimorphism
-            images = [ctx.quotient_image(N, K) for K in subs]
+            images = [image(K) for K in subs]
             lattice = {Q.key: Q for Q in qctx.all_subgroups()}
             for K, img in zip(subs, images):
                 want = K if N.order == 1 else hom.image_of_subgroup(K)
                 assert img.key == want.key, (entry.name, K)
                 assert lattice[img.key] is img, (entry.name, K)
-                assert ctx.quotient_image(N, K) is img
+                assert ctx.quotient(N)[1](K) is img
                 checked += 1
     clear_contexts()
     assert checked > 10000

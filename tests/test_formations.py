@@ -115,7 +115,7 @@ def test_residual_is_smallest_normal_with_quotient_in_f(F):
         R = f_residual(G, F)
         rset = R.element_set()
         for N in ctx.normal_subgroups():
-            assert in_formation(ctx.quotient_ctx(N).group, F) == (
+            assert in_formation(ctx.quotient(N)[0].group, F) == (
                 rset <= N.element_set()), (name, F, N.order)
 
 
@@ -137,7 +137,7 @@ def test_quotient_in_formation_matches_explicit_quotient():
             assert f_residual(G, F) is formation_oracle.residual(ctx, F)
             for N in ctx.normal_subgroups():
                 assert (quotient_in_formation(ctx, N, F)
-                        == in_formation(ctx.quotient_ctx(N).group, F)), (
+                        == in_formation(ctx.quotient(N)[0].group, F)), (
                             G.order, N.order, F)
     clear_contexts()
 

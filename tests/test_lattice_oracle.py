@@ -60,7 +60,7 @@ def test_quotient_lattices_match_oracle():
     S4 = symmetric(4)
     ctx = context_of(S4)
     assert verify_case(S4, "L2.1b", {}).verdict != "fail"
-    quotients = [ctx.quotient_ctx(N) for N in ctx.normal_subgroups()]
+    quotients = [ctx.quotient(N)[0] for N in ctx.normal_subgroups()]
     assert [Q.group.order for Q in quotients] == [24, 6, 2, 1]
     for qctx in quotients:
         check_lattice(qctx.group)

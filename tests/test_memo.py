@@ -39,7 +39,7 @@ def test_memoized_entry_points_return_the_stored_object(monkeypatch):
         "subgroup_classes": ctx.subgroup_classes,
         "sylow_all": lambda: ctx.sylow_all(2),
         "core": lambda: ctx.core(H),
-        "quotient_ctx": lambda: ctx.quotient_ctx(N),
+        "quotient": lambda: ctx.quotient(N)[0],
         "is_s_permutable": lambda: is_s_permutable(G, H),
         "is_fs_quasinormal": lambda: is_fs_quasinormal(G, H, "U"),
         "is_fs_quasinormal_variant":

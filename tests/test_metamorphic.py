@@ -1,12 +1,14 @@
-"""Metamorphic check: relabelling a group's points changes every element's
-position in the index, and so every subgroup mask, but no verdict."""
+"""Metamorphic checks: relabelling a group's points changes every element's
+position in the index, and so every subgroup mask, but no verdict; nor does
+rebuilding the group as its right regular representation, which changes the
+degree, the positions and the generators at once."""
 
 import json
 from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
-from grouplab.catalog import core_catalog_path, load_catalog
+from grouplab.catalog import core_catalog_path, from_multiplication, load_catalog
 from grouplab.context import clear_contexts
 from grouplab.groups import Group
 from grouplab.perms import Permutation
@@ -51,3 +53,14 @@ def test_relabelling_the_points_keeps_every_verdict_row(data):
     H = _relabelled(G, sigma)
     assert H.order == G.order
     assert _rows(H) == _rows(G)
+
+
+def test_the_regular_representation_keeps_every_verdict_row():
+    """Each core group of order <= 24, rebuilt from its own multiplication
+    as a group of degree |G|, has G's verdict rows."""
+    groups = _small_groups()
+    assert len(groups) == 74
+    for G in groups:
+        R = from_multiplication(G.elements(), lambda a, b: a * b)
+        assert (R.degree, R.order) == (G.order, G.order)
+        assert _rows(R) == _rows(G), (G.order, G.generators)

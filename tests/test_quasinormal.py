@@ -4,16 +4,20 @@ quasinormality (two phrasings), formation supplements."""
 import pytest
 
 import grouplab.quasinormal as quasinormal
-from grouplab.catalog import builtin_group, symmetric
+from grouplab.catalog import (builtin_group, core_catalog_path, dihedral,
+                              load_catalog, symmetric)
 from grouplab.context import clear_contexts, context_of
 from grouplab.groups import set_product
 from grouplab.perms import from_cycles
 from grouplab.quasinormal import (
+    Verdict,
     f_supplement,
+    fs_quasinormal,
     has_f_supplement,
     is_fs_quasinormal,
     is_fs_quasinormal_variant,
     is_s_permutable,
+    s_permutable,
 )
 
 
@@ -187,3 +191,61 @@ def test_supplement_class_is_decided_once_per_subgroup_class(monkeypatch,
     for H in subs:
         f_supplement(ctx, H, kind, p)
     assert 0 < len(calls) <= 11
+
+
+def test_conjugation_keeps_the_fsq_verdict_and_s_permutability():
+    """For every class representative H and generator g of each core group
+    of order <= 60: H^g has H's whole F_s-quasinormality verdict (holds,
+    the normal witness T, kind and detail) for N, U and S and both
+    phrasings, and H's s-permutability.  The s-permutability witness, the
+    first failing Sylow subgroup, need not be the same."""
+    compared = 0
+    for entry in load_catalog(core_catalog_path()).entries:
+        G = entry.group
+        if G.order > 60:
+            continue
+        clear_contexts()
+        ctx = context_of(G)
+        for cls in ctx.subgroup_classes():
+            H = cls[0]
+            for g in G.generators:
+                Hg = ctx.generated([g.inverse() * h * g for h in H.generators])
+                for F in "NUS":
+                    for variant in (False, True):
+                        assert (fs_quasinormal(ctx, Hg, F, variant)
+                                == fs_quasinormal(ctx, H, F, variant)), (
+                                    entry.name, H.order, F, variant)
+                        compared += 1
+                assert (s_permutable(ctx, Hg).holds
+                        == s_permutable(ctx, H).holds), (entry.name, H.order)
+                compared += 1
+    clear_contexts()
+    assert compared == 16163
+
+
+def test_verdicts_are_slotted_and_witness_less_ones_shared():
+    """Verdict has no __dict__, and each witness-less outcome is one object,
+    whichever scan of whichever group returns it."""
+    S4, A5, D8 = symmetric(4), builtin_group("alternating(5)"), dihedral(4)
+    ctx4, ctx5, ctx8 = map(context_of, (S4, A5, D8))
+    assert not hasattr(Verdict(True), "__dict__")
+    with pytest.raises(AttributeError):
+        Verdict(True).holds = False
+    # normal subgroups of two groups
+    assert is_s_permutable(S4, ctx4.normal_subgroups()[1]) \
+        is is_s_permutable(A5, A5)
+    # two non-normal subgroups of D8, one class each, s-permutable because
+    # every Sylow subgroup of D8 is normal
+    H, K = (c[0] for c in ctx8.subgroup_classes() if len(c) > 1)
+    assert not ctx8.is_normal(H) and not ctx8.is_normal(K)
+    assert s_permutable(ctx8, H) is s_permutable(ctx8, K)
+    assert s_permutable(ctx8, H).holds and s_permutable(ctx8, H).witness is None
+    # no normal T: two maximal subgroups of a Sylow 2-subgroup of A5
+    M1, M2 = ctx5.maximal_subgroups_of(ctx5.sylow(2))[:2]
+    assert fs_quasinormal(ctx5, M1, "S", False) \
+        is fs_quasinormal(ctx5, M2, "S", True)
+    assert not fs_quasinormal(ctx5, M1, "S", False).holds
+    # no supersoluble supplement in A5, for 1 and for M1
+    assert f_supplement(ctx5, ctx5.trivial_subgroup(), "U", None) \
+        is f_supplement(ctx5, M1, "U", None)
+    assert not f_supplement(ctx5, M1, "U", None).holds

@@ -1,6 +1,6 @@
 """The section kernels on the element index against the permutation oracle
 in ``_section_oracle``: classes of subgroups and of elements, centralizers
-of chief factors, HP = PH, quotients, quotient images and hypercenter
+of chief factors, HP = PH, quotients, images in quotients and hypercenter
 preimages."""
 
 import pytest
@@ -50,12 +50,12 @@ def check_kernels(ctx):
             assert ctx.permutes(H, P) == oracle.permutes(H, P), (H, P)
     for N in normals:
         hom = oracle.coset_quotient(G, N).epimorphism
+        image = ctx.quotient(N)[1]
         for cls in ctx.subgroup_classes():
             K = cls[0]
             # G/1 is G itself, not the oracle's regular representation
-            want = (K.key if N.order == 1
-                    else oracle.quotient_image_key(hom, K))
-            assert ctx.quotient_image(N, K).key == want
+            want = K.key if N.order == 1 else oracle.image_key(hom, K)
+            assert image(K).key == want
         for F in FORMATIONS:
             assert (hypercenter_preimage(G, N, F).element_set()
                     == oracle.hypercenter_preimage(G, hom.target, hom, F))
@@ -108,7 +108,7 @@ def test_coset_action_needs_a_normal_subgroup():
     S4 = symmetric(4)
     ctx = context_of(S4)
     H = ctx.generated([from_cycles("(1 2)", 4)])
-    for build in (ctx.coset_action, ctx.quotient_ctx,
+    for build in (ctx.coset_action, ctx.quotient,
                   lambda N: quotient(S4, N),
                   lambda N: hypercenter_preimage(S4, N, "U")):
         with pytest.raises(NotNormalError):
@@ -117,7 +117,7 @@ def test_coset_action_needs_a_normal_subgroup():
 
 def test_s4_quotient_kernels_match_oracle():
     ctx = context_of(symmetric(4))
-    quotients = [ctx.quotient_ctx(N) for N in ctx.normal_subgroups()]
+    quotients = [ctx.quotient(N)[0] for N in ctx.normal_subgroups()]
     assert [Q.group.order for Q in quotients] == [24, 6, 2, 1]
     for qctx in quotients:
         check_kernels(qctx)
@@ -129,6 +129,24 @@ def test_permutes_on_every_pair_of_s4():
     for H in subs:
         for K in subs:
             assert ctx.permutes(H, K) == oracle.permutes(H, K), (H, K)
+
+
+def test_chief_centralizer_matches_the_column_filter():
+    """The kernel decides each generator h of upper by h's conjugation map;
+    the column filter it replaced reads one Cayley column per surviving
+    element.  They agree on every chief pair and every (N, G) of the core
+    catalog."""
+    pairs = 0
+    for entry in load_catalog(core_catalog_path()).entries:
+        clear_contexts()
+        ctx = context_of(entry.group)
+        for lower, upper in (list(ctx.chief_pairs())
+                             + [(N, ctx.group) for N in ctx.normal_subgroups()]):
+            assert (ctx.mask(ctx.chief_centralizer(lower, upper))
+                    == oracle.chief_centralizer_by_columns(ctx, lower, upper)), (
+                        entry.name, lower.order, upper.order)
+            pairs += 1
+    assert pairs == 2192
 
 
 def test_chief_centralizer_needs_a_normal_lower():

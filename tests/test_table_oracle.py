@@ -53,5 +53,5 @@ def test_quotient_tables_match_permutation_products(entry):
     already holds its element set: then that tree's root is checked."""
     ctx = context_of(entry.group)
     for N in ctx.normal_subgroups():
-        qctx = ctx.quotient_ctx(N)
+        qctx = ctx.quotient(N)[0]
         check_index(qctx._root or qctx)

@@ -2,13 +2,17 @@
 
     python3 tools/lattice_ab.py --base HEAD --pairs 10 --out BENCH.json
 
-Run it from the root of a grouplab checkout.  It checks the base revision
-out with ``git worktree`` under ``.perfbench/`` and removes it afterwards.
-For each workload it alternates ``perfbench/run.py --trace 0`` runs of the
-two trees: pair i runs seed i, the base first in odd pairs and this
-checkout first in even ones.  Each pair also times
+Run it from the root of a grouplab checkout.  It extracts the base
+revision with ``git archive`` under ``.perfbench/`` and removes it
+afterwards.  For each workload it alternates ``perfbench/run.py --trace 0``
+runs of the two trees: pair i runs seed i, the base first in odd pairs and
+this checkout first in even ones.  Each pair also times
 ``ElementIndex.subgroups()`` on the desk-bound probes in both trees, with
-the Cayley table and the element orders built beforehand.
+the Cayley table and the element orders built beforehand.  The ``scale``
+section runs the 35 theorems once per tree on each probe, in a fresh
+process, the base first on odd probes: it records the seconds of the
+lattice and its classes, each theorem's seconds and the sha256 of the
+verdict rows, or ``refused`` for a probe over the subgroup bound.
 
 Every run lasts BENCHMARK.json's ``run_seconds``, and run.py checks it
 against the digests in perfbench/reference.json.  The JSON it writes holds
@@ -17,7 +21,8 @@ every pair's metrics and, for each metric, the median of the paired ratios
 is better, and the median and quartiles of each side.  It adds, once per
 tree, the ``extend`` calls of the lattice kernel and ``src.lines``, and the
 reference digests, ``nproc`` and the Python version.  It exits 1 if a run
-is not ``"correct"`` or has failed operations.
+is not ``"correct"`` or has failed operations, or if the two trees' verdict
+rows differ on a probe.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,6 +74,37 @@ for name in json.loads(sys.argv[2]):
                  if sys.argv[1] == "count" else seconds)
 print(json.dumps(out))
 '''
+
+# argv[1]: a group name.  The rows are those of the verdict digest.
+SCALE_SCRIPT = r'''
+import json, sys, time
+from grouplab.catalog import builtin_group
+from grouplab.context import context_of
+from grouplab.errors import BoundExceededError
+from grouplab.theorems import THEOREM_IDS, params_for, verify_case
+from perfbench.workloads import sha256_json
+name = sys.argv[1]
+G = builtin_group(name)
+started = time.perf_counter()
+try:
+    context_of(G).subgroup_classes()
+except BoundExceededError:
+    print(json.dumps({"refused": True}))
+    sys.exit()
+out = {"lattice_s": time.perf_counter() - started, "theorem_s": {}}
+rows = []
+for tid in THEOREM_IDS:
+    started = time.perf_counter()
+    for params in params_for(G, tid):
+        r = verify_case(G, tid, params)
+        rows.append([name, tid, json.dumps(params, sort_keys=True), r.verdict,
+                     r.hypothesis_value, r.conclusion_value])
+    out["theorem_s"][tid] = time.perf_counter() - started
+out["theorems_s"] = sum(out["theorem_s"].values())
+out["rows"] = sha256_json(rows)
+print(json.dumps(out))
+'''
+
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -139,7 +176,10 @@ def main(argv=None) -> int:
     seconds = str(spec["run_seconds"])
     trees = {"base": base, "head": head}
     problems = []
-    git("worktree", "add", "--detach", str(base), commit)
+    base.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(["git", "archive", commit], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
     try:
         report = {
             "base": {"rev": args.base, "commit": commit},
@@ -183,6 +223,17 @@ def main(argv=None) -> int:
                                     json.dumps(PROBES))
             pairs.append(pair)
         report["probes"] = {"pairs": pairs, "summary": summarize(pairs, {})}
+        report["scale"] = {}
+        for i, name in enumerate(PROBES):
+            sides = ("base", "head") if i % 2 == 0 else ("head", "base")
+            runs = {side: python(trees[side], "-c", SCALE_SCRIPT, name)
+                    for side in sides}
+            if runs["base"].get("rows") != runs["head"].get("rows"):
+                problems.append(f"scale {name}: the verdict rows differ")
+            report["scale"][name] = runs
+            print(f"scale {name}: " + " ".join(
+                f"{side} {run.get('theorems_s', 'refused')}"
+                for side, run in runs.items()), file=sys.stderr)
         for side, tree in trees.items():
             report[side]["extend_calls"] = python(
                 tree, "-c", PROBE_SCRIPT, "count",
@@ -192,7 +243,7 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(report, indent=1) + "\n",
                             encoding="utf-8")
     finally:
-        git("worktree", "remove", "--force", str(base))
+        shutil.rmtree(base)
     for problem in problems:
         print(f"INCORRECT {problem}", file=sys.stderr)
     return 1 if problems else 0
