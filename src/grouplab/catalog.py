@@ -9,8 +9,11 @@ order <= 24.
 
 from __future__ import annotations
 
+import ast
+import functools
+import itertools
 import math
-import re
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
@@ -63,14 +66,9 @@ def cyclic(n: int) -> Group:
     parts = [p_part(n, p) for p in prime_divisors(n)]
     if sum(parts) > MAX_DEGREE:
         raise BoundExceededError(f"cyclic({n}) does not fit on {MAX_DEGREE} points")
-    G = cyclic(parts[0])
-    for q in parts[1:]:
-        G = direct_product(G, cyclic(q))
+    G = functools.reduce(direct_product, map(cyclic, parts))
     # single generator of full order
-    g = G.generators[0]
-    for h in G.generators[1:]:
-        g = g * h
-    return Group(G.degree, [g])
+    return Group(G.degree, [functools.reduce(operator.mul, G.generators)])
 
 
 def dihedral(n: int) -> Group:
@@ -127,10 +125,7 @@ def alternating(n: int) -> Group:
 def elementary_abelian(p: int, k: int) -> Group:
     if k < 1 or not is_prime(p):
         raise CatalogError("elementary_abelian(p, k) requires a prime p, k >= 1")
-    G = cyclic(p)
-    for _ in range(k - 1):
-        G = direct_product(G, cyclic(p))
-    return G
+    return functools.reduce(direct_product, [cyclic(p)] * k)
 
 
 def metacyclic(n: int, m: int, k: int) -> Group:
@@ -153,7 +148,7 @@ def gendihedral(*ns: int) -> Group:
     """Generalized dihedral group: (C_n1 x ... x C_nk) extended by the
     inverting involution."""
     elems = [tuple(v) + (e,) for e in range(2)
-             for v in _tuples([range(n) for n in ns])]
+             for v in itertools.product(*(range(n) for n in ns))]
 
     def mult(x, y):
         v, e = x[:-1], x[-1]
@@ -163,15 +158,6 @@ def gendihedral(*ns: int) -> Group:
         return tuple((a - b) % n for a, b, n in zip(v, w, ns)) + ((e + f) % 2,)
 
     return from_multiplication(elems, mult)
-
-
-def _tuples(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _tuples(ranges[1:]):
-            yield (head,) + rest
 
 
 def v4_rtimes_c4() -> Group:
@@ -250,10 +236,7 @@ def special_linear(n: int, q: int) -> Group:
 def _direct(*groups: Group) -> Group:
     if len(groups) < 2:
         raise CatalogError("direct(...) requires at least two factors")
-    G = groups[0]
-    for H in groups[1:]:
-        G = direct_product(G, H)
-    return G
+    return functools.reduce(direct_product, groups)
 
 
 _BUILTINS: dict[str, Callable] = {
@@ -274,58 +257,39 @@ _BUILTINS: dict[str, Callable] = {
     "trivial": lambda: Group(1, []),
 }
 
-_NAME_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*")
-
 
 def builtin_group(name: str) -> Group:
-    """Construct a builtin group from its name expression."""
-    expr, pos = _parse_expr(name, 0)
-    if name[pos:].strip():
-        raise CatalogError(f"trailing input in builtin name: {name!r}")
-    return _eval_expr(expr)
-
-
-def _parse_expr(text: str, pos: int):
-    m = _NAME_RE.match(text, pos)
-    if not m:
-        raise CatalogError(f"bad builtin name at position {pos}: {text!r}")
-    head = m.group(1)
-    pos = m.end()
-    args = []
-    if pos < len(text) and text[pos] == "(":
-        pos += 1
-        while True:
-            stripped = text[pos:].lstrip()
-            pos = len(text) - len(stripped)
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            num = re.match(r"\s*(-?\d+)\s*", text[pos:])
-            if num:
-                args.append(int(num.group(1)))
-                pos += num.end()
-            else:
-                sub, pos = _parse_expr(text, pos)
-                args.append(sub)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-            elif pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            else:
-                raise CatalogError(f"expected ',' or ')' in builtin name: {text!r}")
-    return (head, args), pos
-
-
-def _eval_expr(expr) -> Group:
-    head, args = expr
-    fn = _BUILTINS.get(head)
-    if fn is None:
-        raise CatalogError(f"unknown builtin group: {head!r}")
-    vals = [a if isinstance(a, int) else _eval_expr(a) for a in args]
+    """Construct a builtin group from its name expression, read by ``ast``
+    and never evaluated: a builtin name, or a call of one whose positional
+    arguments are int literals (optionally negated) or name expressions."""
     try:
-        return fn(*vals)
-    except (TypeError,) as exc:
+        if name.isascii():  # ast NFKC-folds identifiers
+            return _build(ast.parse(name.strip(), mode="eval").body, name)
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise CatalogError(f"bad builtin name {name!r}: {exc}") from exc
+    raise CatalogError(f"bad builtin name: {name!r}")
+
+
+def _int(node) -> Optional[int]:
+    sign = 1
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -sign
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    return None
+
+
+def _build(node, name: str) -> Group:
+    call = node if isinstance(node, ast.Call) else ast.Call(node, [], [])
+    if not isinstance(call.func, ast.Name) or call.keywords:
+        raise CatalogError(f"bad builtin name: {name!r}")
+    head = call.func.id
+    if head not in _BUILTINS:
+        raise CatalogError(f"unknown builtin group: {head!r}")
+    args = [_build(a, name) if (n := _int(a)) is None else n for a in call.args]
+    try:
+        return _BUILTINS[head](*args)
+    except TypeError as exc:
         raise CatalogError(f"bad arguments for {head}: {exc}") from exc
 
 
@@ -380,18 +344,13 @@ def load_catalog(path) -> Catalog:
                    "order": None, "line": lineno}
         elif cur is None:
             err(lineno, f"{kw!r} outside a group block")
-        elif kw == "degree":
+        elif kw in ("degree", "order"):
             try:
-                cur["degree"] = int(rest)
+                cur[kw] = int(rest)
             except ValueError:
-                err(lineno, f"bad degree: {rest!r}")
+                err(lineno, f"bad {kw}: {rest!r}")
         elif kw == "gen":
             cur["gens"].append((lineno, rest))
-        elif kw == "order":
-            try:
-                cur["order"] = int(rest)
-            except ValueError:
-                err(lineno, f"bad order: {rest!r}")
         elif kw == "end":
             entries.append(_finish_block(path, cur))
             cur = None

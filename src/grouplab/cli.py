@@ -7,6 +7,7 @@ Exit codes: 0 = all pass, 1 = a check or verification failed,
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import click
@@ -47,24 +48,9 @@ def _resolve_group(name: str, catalog_path: str | None) -> Group:
 
 def _parse_subgroup(G: Group, text: str) -> Group:
     """Subgroup from generator cycle strings separated by ';' or ','
-    between closing and opening parentheses."""
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in ",;" and depth == 0:
-            if cur.strip():
-                parts.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur.strip())
-    gens = [from_cycles(t, G.degree) for t in parts]
+    outside parentheses; empty parts are skipped."""
+    gens = [from_cycles(t, G.degree)
+            for t in re.split(r"[,;](?![^()]*\))", text) if t.strip()]
     # before closing them: stray generators may generate a far larger group
     if not all(g in G for g in gens):
         raise CatalogError("generators do not lie in the ambient group")

@@ -124,8 +124,6 @@ def from_cycles(text: str, degree: int) -> Permutation:
     stripped = text.strip()
     if not stripped:
         raise CycleParseError("empty cycle string")
-    if re.sub(r"[\s()]", "", stripped) == "" and "(" in stripped:
-        return identity(degree)
     consumed = _CYCLE_RE.sub("", stripped)
     if consumed.strip():
         raise CycleParseError(f"unparseable cycle notation: {text!r}")

@@ -17,11 +17,17 @@ def test_builtin_examples():
     assert builtin_group("direct(cyclic(2),cyclic(3))").order == 6
     assert builtin_group("metacyclic(7,3,2)").order == 21
     assert builtin_group("heisenberg(3)").order == 27
+    assert builtin_group("trivial").order == 1
+    assert builtin_group("direct( cyclic(2) , cyclic(3) )").order == 6
 
 
 def test_builtin_name_errors():
     for bad in ["nonsense(3)", "cyclic", "cyclic(2) trailing",
-                "symmetric(4", "direct()", "direct(cyclic(2))"]:
+                "symmetric(4", "direct()", "direct(cyclic(2))",
+                "-cyclic(3)", "cyclic(n=3)", "cyclic(2.0)", "cyclic(True)",
+                "cyclic('2')", "os.system(1)", "__import__('os')",
+                "direct(*[cyclic(2)])", "3", "",
+                "\uff43yclic(3)"]:  # ast would fold the fullwidth c to c
         with pytest.raises(CatalogError):
             builtin_group(bad)
 
@@ -145,7 +151,9 @@ def test_core_names_match_file():
     assert set(cat.names()) == set(CORE_GROUP_NAMES)
     built = dict(build_core_entries())
     for e in cat.entries:
-        assert e.group.order == built[e.name].order
+        G = built[e.name]
+        assert e.group.degree == G.degree, e.name
+        assert e.group.generators == G.generators, e.name
 
 
 def test_format_roundtrip(tmp_path):

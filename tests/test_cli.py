@@ -7,6 +7,12 @@ import sys
 
 import pytest
 
+from grouplab.catalog import builtin_group
+from grouplab.cli import _parse_subgroup
+from grouplab.errors import CycleParseError
+from grouplab.groups import Group
+from grouplab.perms import from_cycles
+
 CLI = [sys.executable, "-m", "grouplab.cli"]
 
 
@@ -34,9 +40,12 @@ def test_info_pass():
 
 
 def test_info_unknown_group_is_usage_error():
-    r = run("info", "nonsense(3)")
-    assert r.returncode == 2
-    assert "error" in r.stderr.lower()
+    # "--" keeps click from reading "-cyclic(3)" as an option, so the name
+    # walker rejects it: it negates int literals only
+    for name in ["nonsense(3)", "-cyclic(3)"]:
+        r = run("info", "--", name)
+        assert r.returncode == 2
+        assert "error" in r.stderr.lower() and "Traceback" not in r.stderr
 
 
 def test_info_bound_exceeded():
@@ -116,6 +125,22 @@ def test_stray_generators_are_rejected_before_closing_them():
             "--subgroup", "(1 2),(1 2 3 4 5 6 7 8 9)", timeout=60)
     assert r.returncode == 2, r.stderr
     assert "generators do not lie in the ambient group" in r.stderr
+
+
+def test_parse_subgroup_splits_outside_parentheses():
+    G = builtin_group("symmetric(4)")
+
+    def span(*cycles):
+        return Group(4, [from_cycles(c, 4) for c in cycles]).element_set()
+
+    H = _parse_subgroup(G, "(1 2)(3 4); (1 3)")
+    assert H.element_set() == span("(1 2)(3 4)", "(1 3)") and H.order == 8
+    assert _parse_subgroup(G, "(1,2),(3,4)").element_set() == span("(1 2)",
+                                                                   "(3 4)")
+    assert _parse_subgroup(G, "(1 2);;(1 3)").order == 6
+    for bad in ["(1 2", "1 2; (1 3)"]:
+        with pytest.raises(CycleParseError):
+            _parse_subgroup(G, bad)
 
 
 def test_lattice_command():

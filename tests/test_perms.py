@@ -45,7 +45,8 @@ def test_cycle_roundtrip_examples():
     for text in ["(1 2)", "(1 2 3)(4 5)", "(2 4 6)"]:
         p = from_cycles(text, 6)
         assert from_cycles(to_cycles(p), 6) == p
-    assert from_cycles("()", 3) == identity(3)
+    for text in ["()", "()()", "( )"]:
+        assert from_cycles(text, 3) == identity(3)
 
 
 def test_cycle_parse_errors():
@@ -57,6 +58,9 @@ def test_cycle_parse_errors():
         from_cycles("(1 9)", 4)  # out of range
     with pytest.raises(CycleParseError):
         from_cycles("(1 1)", 4)  # repeated point
+    for text in ["(", "((", ")(", "(()", "())", "( ) )"]:  # unbalanced
+        with pytest.raises(CycleParseError):
+            from_cycles(text, 4)
 
 
 def test_degree_mismatch():
