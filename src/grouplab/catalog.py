@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .errors import BoundExceededError, CatalogError
-from .groups import Group, MAX_DEGREE, direct_product, from_elements
+from .groups import Group, MAX_DEGREE, MAX_ORDER, direct_product, from_elements
 from .perms import Permutation, from_cycles
 from .primes import is_prime, p_part, prime_divisors
 
@@ -37,9 +37,7 @@ def from_multiplication(elements: Sequence, mult: Callable) -> Group:
     """The right-regular permutation representation of a finite group given
     by an element list and a multiplication function."""
     elems = list(elements)
-    if len(elems) > MAX_DEGREE:
-        raise BoundExceededError(
-            f"regular representation on {len(elems)} > {MAX_DEGREE} points")
+    _check_regular_degree(len(elems))
     index = {e: i for i, e in enumerate(elems)}
     perms = []
     for g in elems:
@@ -51,6 +49,12 @@ def from_multiplication(elements: Sequence, mult: Callable) -> Group:
     return group
 
 
+def _check_regular_degree(order: int) -> None:
+    if order > MAX_DEGREE:
+        raise BoundExceededError(
+            f"regular representation on {order} > {MAX_DEGREE} points")
+
+
 # ---------------------------------------------------------------------------
 # builtin constructors
 
@@ -58,6 +62,8 @@ def from_multiplication(elements: Sequence, mult: Callable) -> Group:
 def cyclic(n: int) -> Group:
     if n < 1:
         raise CatalogError("cyclic(n) requires n >= 1")
+    if n > MAX_ORDER:
+        raise BoundExceededError(f"cyclic({n}) exceeds desk bound {MAX_ORDER}")
     if n == 1:
         return Group(1, [])
     if n <= MAX_DEGREE:
@@ -84,6 +90,7 @@ def dicyclic(n: int) -> Group:
     """Dicyclic group of order 4n (n >= 2); dicyclic(2) is the quaternion Q8."""
     if n < 2:
         raise CatalogError("dicyclic(n) requires n >= 2")
+    _check_regular_degree(4 * n)
     m = 2 * n
     elems = [(i, e) for e in range(2) for i in range(m)]
 
@@ -134,6 +141,7 @@ def metacyclic(n: int, m: int, k: int) -> Group:
     if pow(k, m, n) != 1 or math.gcd(k, n) != 1:
         raise CatalogError(
             f"metacyclic({n},{m},{k}): k^m must be 1 mod n with gcd(k,n)=1")
+    _check_regular_degree(n * m)
     elems = [(i, j) for j in range(m) for i in range(n)]
 
     def mult(x, y):
@@ -147,6 +155,7 @@ def metacyclic(n: int, m: int, k: int) -> Group:
 def gendihedral(*ns: int) -> Group:
     """Generalized dihedral group: (C_n1 x ... x C_nk) extended by the
     inverting involution."""
+    _check_regular_degree(2 * math.prod(max(n, 0) for n in ns))
     elems = [tuple(v) + (e,) for e in range(2)
              for v in itertools.product(*(range(n) for n in ns))]
 
@@ -207,6 +216,7 @@ def c3xv4_rtimes_c2() -> Group:
 def heisenberg(p: int) -> Group:
     """Upper unitriangular 3x3 matrices over F_p (extraspecial of order p^3,
     exponent p for odd p)."""
+    _check_regular_degree(p ** 3)
     elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mult(x, y):
@@ -360,14 +370,12 @@ def load_catalog(path) -> Catalog:
         err(len(lines) + 1, f"unterminated group block {cur['name']!r}")
     if not entries:
         warnings.append(f"{path}: empty catalog")
-    seen: dict[tuple, str] = {}
+    seen: dict[Group, str] = {}
     for e in entries:
-        ck = (e.group.degree, e.group.key)
-        if ck in seen:
-            warnings.append(
-                f"duplicate group: {e.name!r} has the same elements as {seen[ck]!r}")
-        else:
-            seen[ck] = e.name
+        # group names are unique, so another name is an earlier entry
+        if seen.setdefault(e.group, e.name) != e.name:
+            warnings.append(f"duplicate group: {e.name!r} has the same "
+                            f"elements as {seen[e.group]!r}")
     return Catalog(tuple(entries), tuple(warnings))
 
 

@@ -2,11 +2,11 @@
 
 Everything downstream (lattice, structural predicates, formations,
 quasinormality, theorem encodings) works through a :class:`GroupContext`,
-which memoizes the expensive objects: element conjugacy classes, the normal
-subgroup list, the full subgroup lattice, Sylow classes, quotients and
-per-subgroup predicates.  There is one memo mechanism, the :func:`memoized`
-decorator: it stores ``f(ctx, *args)`` in ctx under the function and the
-argument tuple.  It decorates GroupContext methods and the context-first
+which memoizes the expensive objects: the normal subgroup list, the full
+subgroup lattice, Sylow classes, quotients and per-subgroup predicates.
+There is one memo mechanism, the :func:`memoized` decorator: it stores
+``f(ctx, *args)`` in ctx under the function and the argument tuple.  It
+decorates the GroupContext methods asked twice and the context-first
 functions of :mod:`~grouplab.structure`, :mod:`~grouplab.formations` and
 :mod:`~grouplab.quasinormal`; their public ``(G, ...)`` functions are doors
 that call them with ``context_of(G)``.  Contexts are created once per group
@@ -52,17 +52,16 @@ from .primes import p_part, prime_divisors, require_prime
 
 _MISSING = object()
 
-_CONTEXTS: dict[tuple[int, frozenset], "GroupContext"] = {}
+_CONTEXTS: dict[Group, "GroupContext"] = {}
 
 
 def context_of(G: Group) -> "GroupContext":
     """The cached context of G's element set: made in the tree of the
     registry that built G while its root lives, otherwise as a root."""
-    ck = (G.degree, G.key)
-    ctx = _CONTEXTS.get(ck)
+    ctx = _CONTEXTS.get(G)
     if ctx is None:
         root = G._place and G._place[0]()
-        ctx = _CONTEXTS[ck] = GroupContext(G, root)
+        ctx = _CONTEXTS[G] = GroupContext(G, root)
     return ctx
 
 
@@ -78,8 +77,8 @@ def memoized(fn):
     """Memoize fn(ctx, *args) in the context ctx: its table is fn, its key
     the argument tuple with omitted defaults filled in, so f(ctx, x) and
     f(ctx, x, default) share an entry.  Arguments are hashable and
-    positional; a Group hashes and compares by its degree and element set, so
-    an equal subgroup object is a hit.  The body runs only on a miss, and a
+    positional; a Group hashes and compares by its element set, so an equal
+    subgroup object is a hit.  The body runs only on a miss, and a
     stored False or None is a hit."""
     n = fn.__code__.co_argcount - 1          # the parameters after ctx
     defaults = fn.__defaults__ or ()
@@ -235,7 +234,6 @@ class GroupContext:
     # ------------------------------------------------------------------
     # conjugation
 
-    @memoized
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """The classes of elements, each the orbit of its first element under
         the generators' conjugation maps, in order of that element."""
@@ -447,17 +445,12 @@ class GroupContext:
     # ------------------------------------------------------------------
     # named subgroups
 
-    @memoized
     def center(self) -> Group:
         return self.chief_centralizer(self.trivial_subgroup(), self.group)
 
-    @memoized
     def frattini(self) -> Group:
-        maxima = self.maximal_subgroups_of(self.group)
-        if not maxima:
-            return self.group
         mask = self.mask(self.group)
-        for M in maxima:
+        for M in self.maximal_subgroups_of(self.group):
             mask &= self.mask(M)
         return self._group(mask)
 
@@ -477,14 +470,12 @@ class GroupContext:
                     if all(q in pi for q in prime_divisors(N.order))),
                    key=lambda N: N.order)
 
-    @memoized
     def O_upper_p(self, p: int) -> Group:
         """Smallest normal subgroup with p-group quotient: <all p'-elements>."""
         orders = self._index.orders()
         return self._subgroup_at([i for i in self.positions(self.group)
                                   if orders[i] % p])
 
-    @memoized
     def fitting(self) -> Group:
         return self.generated([g for p in self.primes()
                                for g in self.O_p(p).generators])
@@ -571,7 +562,6 @@ class GroupContext:
                     kept[hmask] = H
         return tuple(kept.values())
 
-    @memoized
     def chief_pairs(self) -> tuple[tuple[Group, Group], ...]:
         """All (lower, upper) pairs of normals with upper/lower minimal normal
         in G/lower."""

@@ -54,7 +54,7 @@ class Group:
     # _place: (tree, mask, positions) of a subgroup that a context registry
     # built, set by grouplab.context; None otherwise
     __slots__ = ("degree", "generators", "order", "_elements", "_element_set",
-                 "_key", "_hash", "_place")
+                 "_key", "_place")
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  *, _skip_degree_check: bool = False,
@@ -78,7 +78,6 @@ class Group:
         object.__setattr__(self, "order", len(self._elements))
         object.__setattr__(self, "_element_set", frozenset(elems))
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_place", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -104,12 +103,11 @@ class Group:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):
             return NotImplemented
-        return self.degree == other.degree and self.key == other.key
+        # each set holds the identity, whose images fix the degree
+        return self._element_set == other._element_set
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.degree, self.key)))
-        return self._hash
+        return hash(self._element_set)  # a frozenset keeps its hash
 
     def is_subgroup_of(self, ambient: "Group") -> bool:
         if self.degree != ambient.degree:

@@ -20,7 +20,8 @@ from .context import clear_contexts
 from .errors import BoundExceededError
 from .groups import Group
 from .perms import from_cycles, to_cycles
-from .theorems import IMPORTED_IDS, THEOREM_IDS, params_for, verify_case
+from .theorems import (IMPORTED_IDS, THEOREM_IDS, CaseResult, params_for,
+                       verify_case)
 
 __all__ = ["SCHEMA", "run_suite", "report_body_without_timing",
            "format_summary", "select_theorems"]
@@ -81,13 +82,9 @@ def _run_group(job: _Job) -> dict:
             try:
                 cases.append(_case_dict(verify_case(G, tid, params)))
             except BoundExceededError as exc:
-                cases.append({
-                    "theorem": tid, "params": dict(params),
-                    "direction": "", "imported": tid in IMPORTED_IDS,
-                    "hypothesis": False, "conclusion": False,
-                    "verdict": "skipped", "witnesses": [],
-                    "error": str(exc),
-                })
+                cases.append({**_case_dict(CaseResult(
+                    tid, dict(params), "", tid in IMPORTED_IDS,
+                    False, False, "skipped")), "error": str(exc)})
     return {"group": job.name, "order": G.order, "degree": G.degree,
             "cases": cases}
 

@@ -45,6 +45,13 @@ _NORMAL = Verdict(True, detail="normal subgroup")
 _NO_T = Verdict(False, detail=_HT_NOTE)
 
 
+@memoized
+def _witnessed(ctx: GroupContext, holds: bool, witness: Group, kind: str,
+               detail: str = "") -> Verdict:
+    """The one Verdict per witnessed outcome in ctx, shared by the scans."""
+    return Verdict(holds, witness, kind, detail)
+
+
 def is_s_permutable(G: Group, H: Group) -> Verdict:
     """HP = PH for every Sylow subgroup P of G."""
     return s_permutable(context_of(G), H)
@@ -88,8 +95,9 @@ def s_permutable(ctx: GroupContext, H: Group) -> Verdict:
             continue  # the unique Sylow subgroup is normal: HP = PH as sets
         for P in sylows:
             if not ctx.permutes(H, P):
-                return Verdict(False, witness=P, witness_kind="failing_sylow",
-                               detail=f"does not permute with a Sylow {p}-subgroup")
+                return _witnessed(
+                    ctx, False, P, "failing_sylow",
+                    f"does not permute with a Sylow {p}-subgroup")
     return _HOLDS
 
 
@@ -116,8 +124,7 @@ def fs_quasinormal(ctx: GroupContext, H: Group, formation: str,
             if inter & ~wmask:
                 continue
         if s_permutable(ctx, ctx.join(H, T)).holds:
-            return Verdict(True, witness=T, witness_kind="normal_T",
-                           detail=_HT_NOTE)
+            return _witnessed(ctx, True, T, "normal_T", _HT_NOTE)
     return _NO_T
 
 
@@ -154,5 +161,5 @@ def f_supplement(ctx: GroupContext, H: Group, kind: str,
             continue
         for T in cls:
             if ctx.product_size(H, T) == G.order:
-                return Verdict(True, witness=T, witness_kind="supplement")
+                return _witnessed(ctx, True, T, "supplement")
     return _FAILS

@@ -2,10 +2,10 @@
 supersolubility, nilpotency, p-nilpotency, simplicity, quasisimplicity,
 components and the layer.
 
-Each is computed and memoized on a context: ``holds(ctx, name, p)`` decides
-the named predicate, and ``series_of``, ``components_of``, ``layer_of`` and
-``generalized_fitting_of`` take the context too.  The ``(G, ...)`` functions
-are doors that call them with ``context_of(G)``."""
+Each is computed on a context: ``holds(ctx, name, p)`` decides the named
+predicate; it, ``series_of``, ``layer_of`` and ``generalized_fitting_of`` are
+memoized there, and ``components_of``, asked only under ``layer_of``, is not.
+The ``(G, ...)`` functions are doors that call them with ``context_of(G)``."""
 
 from __future__ import annotations
 
@@ -198,7 +198,6 @@ def components(G: Group) -> tuple[Group, ...]:
     return components_of(context_of(G))
 
 
-@memoized
 def components_of(ctx: GroupContext) -> tuple[Group, ...]:
     if holds(ctx, "soluble"):
         return ()

@@ -100,12 +100,12 @@ def test_clear_removes_orphaned_temp_files(cache_env):
 def test_context_uses_cache(cache_env):
     """A fresh context loads the stored lattice instead of recomputing."""
     G = builtin_group("dicyclic(3)")
-    _CONTEXTS.pop((G.degree, G.key), None)
+    _CONTEXTS.pop(G, None)
     ctx = context_of(G)
     subs = ctx.all_subgroups()
     assert list(cache_env.glob("*.lattice"))  # written on compute
     # wipe the in-memory context and reload from disk
-    _CONTEXTS.pop((G.degree, G.key))
+    _CONTEXTS.pop(G)
     ctx2 = context_of(G)
     loaded = ctx2.all_subgroups()
     assert [H.key for H in loaded] == [H.key for H in subs]
@@ -113,11 +113,11 @@ def test_context_uses_cache(cache_env):
 
 def test_corrupt_cache_never_silently_recomputes(cache_env):
     G = builtin_group("dicyclic(3)")
-    _CONTEXTS.pop((G.degree, G.key), None)
+    _CONTEXTS.pop(G, None)
     context_of(G).all_subgroups()
     p = next(cache_env.glob("*.lattice"))
     p.write_text("junk\n")
-    _CONTEXTS.pop((G.degree, G.key))
+    _CONTEXTS.pop(G)
     with pytest.raises(CacheError):
         context_of(G).all_subgroups()
 

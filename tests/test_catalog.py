@@ -1,12 +1,15 @@
 """Catalog: builtin constructors, name parsing, ingestion format, the shipped
 core catalog."""
 
+import tracemalloc
+
 import pytest
 
 from _core_catalog import CORE_GROUP_NAMES, build_core_entries, format_catalog
+from grouplab import catalog
 from grouplab.catalog import (builtin_group, core_catalog_path,
                               elementary_abelian, load_catalog)
-from grouplab.errors import CatalogError
+from grouplab.errors import BoundExceededError, CatalogError
 
 
 def test_builtin_examples():
@@ -222,3 +225,25 @@ def test_dihedral_dicyclic_families():
     assert sum(1 for n in names if n.startswith("dihedral(")) >= 5
     assert sum(1 for n in names if n.startswith("dicyclic(")) >= 3
     assert sum(1 for n in names if n.startswith("elementary_abelian(")) >= 4
+
+
+@pytest.mark.parametrize("name", ["heisenberg(60)", "metacyclic(1000,200,1)",
+                                  "dicyclic(50000)", "gendihedral(300,300)"])
+def test_an_oversized_builtin_is_refused_before_it_lists_elements(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError):
+            builtin_group(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cyclic_is_refused_by_its_order_before_it_is_factored(monkeypatch):
+    def factor(n):
+        raise RuntimeError("factored")
+
+    monkeypatch.setattr(catalog, "prime_divisors", factor)
+    with pytest.raises(BoundExceededError):
+        builtin_group("cyclic(1001)")

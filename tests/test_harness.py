@@ -16,13 +16,14 @@ from grouplab.catalog import (
     load_catalog,
 )
 from grouplab.context import clear_contexts, context_of
+from grouplab.errors import BoundExceededError
 from grouplab.harness import (
     SCHEMA,
     report_body_without_timing,
     run_suite,
     select_theorems,
 )
-from grouplab.theorems import THEOREM_IDS
+from grouplab.theorems import THEOREM_IDS, verify_case
 
 
 def _entry(name):
@@ -62,6 +63,23 @@ def test_counts_sum_to_case_count():
         total = agg["pass"] + agg["fail"] + agg["vacuous"] + agg["skipped"]
         nonvac = agg["pass"] + agg["fail"]
         assert agg["non_vacuous_ratio"] == pytest.approx(nonvac / total)
+
+
+def test_a_skipped_case_has_the_case_keys_and_its_error(monkeypatch):
+    """A case refused by a bound is recorded as skipped, with the keys of
+    every other case plus the refusal's message."""
+    G = builtin_group("symmetric(3)")
+    ran = harness._case_dict(verify_case(G, "L2.1a", {}))
+
+    def refuse(G, tid, params):
+        raise BoundExceededError("order exceeds desk bound 1000")
+
+    monkeypatch.setattr(harness, "verify_case", refuse)
+    job = harness._Job("S3", 3, ("(1 2)", "(1 2 3)"), ("L2.1a",))
+    case, = harness._run_group(job)["cases"]
+    assert set(case) == set(ran) | {"error"}
+    assert case["verdict"] == "skipped" and case["witnesses"] == []
+    assert case["error"] == "order exceeds desk bound 1000"
 
 
 def test_failures_list_mirrors_fail_verdicts():

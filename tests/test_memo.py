@@ -2,6 +2,8 @@
 decorated function and whose key is the argument tuple after the context.
 A repeated query returns the stored object, not a recomputation."""
 
+from collections import Counter
+
 import pytest
 
 import grouplab.structure as structure
@@ -25,6 +27,7 @@ from grouplab.structure import (
     is_soluble,
     predicate,
 )
+from grouplab.theorems import THEOREM_IDS, params_for, verify_case
 
 
 def test_memoized_entry_points_return_the_stored_object(monkeypatch):
@@ -155,3 +158,87 @@ def test_memoized_method_runs_once_per_subgroup():
         assert ctx.of(copy) == 2
         assert ctx.of(G) == 6
     assert runs == ["whole", 2, 6]
+
+
+# Cheap questions the 35 theorems ask once per context, or only under a
+# memoized caller: a table for them would hold entries that are never read.
+_UNTABLED = {
+    "context.GroupContext.conjugacy_classes",
+    "context.GroupContext.chief_pairs",
+    "context.GroupContext.O_upper_p",
+    "context.GroupContext.center",
+    "context.GroupContext.frattini",
+    "context.GroupContext.fitting",
+    "structure.components_of",
+}
+
+# The misses per table of the 35 theorems on S4 from a clean start: each is
+# one body run, so a count above its bound is work the tables stopped
+# sparing, and a new table must be added here.
+_MISSES_ON_S4 = {
+    "context.GroupContext.O_pi": 37,
+    "context.GroupContext.all_subgroups": 21,
+    "context.GroupContext.chief_centralizer": 7,
+    "context.GroupContext.core": 85,
+    "context.GroupContext.coset_action": 3,
+    "context.GroupContext.covers": 14,
+    "context.GroupContext.is_subnormal": 11,
+    "context.GroupContext.join": 142,
+    "context.GroupContext.maximal_subgroups_of": 6,
+    "context.GroupContext.normal_subgroups": 21,
+    "context.GroupContext.subgroup_classes": 12,
+    "context.GroupContext.subgroups_of": 25,
+    "context.GroupContext.sylow_of_subgroup": 11,
+    "formations.hypercenter": 15,
+    "formations.residual": 2,
+    "quasinormal._classes_in": 31,
+    "quasinormal._witnessed": 61,
+    "quasinormal.f_supplement": 159,
+    "quasinormal.fs_quasinormal": 256,
+    "quasinormal.s_permutable": 85,
+    "structure.generalized_fitting_of": 5,
+    "structure.holds": 94,
+    "structure.layer_of": 5,
+    "structure.series_of": 8,
+}
+
+
+def test_memo_traffic_of_the_35_theorems_on_s4(monkeypatch):
+    """Every context gets a memo table that counts its misses."""
+    tables, misses = set(), Counter()
+
+    class Table(dict):
+        def get(self, key, default=None):
+            value = dict.get(self, key, default)
+            if value is default:
+                misses[self.name] += 1
+            return value
+
+    class Tables(dict):
+        def __missing__(self, fn):
+            table = self[fn] = Table()
+            table.name = (f"{fn.__module__.rpartition('.')[2]}."
+                          f"{fn.__qualname__}")
+            tables.add(table.name)
+            return table
+
+    init = GroupContext.__init__
+
+    def counting_init(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        ctx._memo = Tables()
+
+    monkeypatch.setattr(GroupContext, "__init__", counting_init)
+    clear_contexts()
+    try:
+        G = builtin_group("symmetric(4)")
+        for tid in THEOREM_IDS:
+            for params in params_for(G, tid):
+                assert verify_case(G, tid, params).verdict != "fail"
+    finally:
+        clear_contexts()
+    assert not tables & _UNTABLED
+    assert tables <= set(_MISSES_ON_S4)
+    over = {name: (n, _MISSES_ON_S4[name]) for name, n in misses.items()
+            if n > _MISSES_ON_S4[name]}
+    assert not over, over

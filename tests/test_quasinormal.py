@@ -249,3 +249,13 @@ def test_verdicts_are_slotted_and_witness_less_ones_shared():
     assert f_supplement(ctx5, ctx5.trivial_subgroup(), "U", None) \
         is f_supplement(ctx5, M1, "U", None)
     assert not f_supplement(ctx5, M1, "U", None).holds
+
+
+def test_subgroups_with_one_fs_witness_share_one_verdict():
+    """V4 and A4 are normal in S4, so both are F_s-quasinormal with the
+    trivial witness T; the scans return one Verdict object for it."""
+    G = symmetric(4)
+    V4, A4 = context_of(G).normal_subgroups()[1:3]
+    a = is_fs_quasinormal(G, V4, "U")
+    assert a.holds and a.witness.order == 1
+    assert is_fs_quasinormal(G, A4, "U") is a

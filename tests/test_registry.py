@@ -196,5 +196,6 @@ def test_analysis_layers_compare_subgroups_by_mask(module):
 
 
 def test_context_reads_element_keys_only_to_find_a_context():
+    """Not even there: context_of keys its contexts by the Group itself."""
     assert {fn for fn, attr in _identity_reads("context")
-            if attr == "key"} == {"context_of"}
+            if attr == "key"} == set()
