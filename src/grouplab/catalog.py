@@ -37,7 +37,7 @@ def from_multiplication(elements: Sequence, mult: Callable) -> Group:
     """The right-regular permutation representation of a finite group given
     by an element list and a multiplication function."""
     elems = list(elements)
-    _check_regular_degree(len(elems))
+    _check_degree(len(elems))
     index = {e: i for i, e in enumerate(elems)}
     perms = []
     for g in elems:
@@ -49,10 +49,9 @@ def from_multiplication(elements: Sequence, mult: Callable) -> Group:
     return group
 
 
-def _check_regular_degree(order: int) -> None:
-    if order > MAX_DEGREE:
-        raise BoundExceededError(
-            f"regular representation on {order} > {MAX_DEGREE} points")
+def _check_degree(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise BoundExceededError(f"degree {n} exceeds desk bound {MAX_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +63,6 @@ def cyclic(n: int) -> Group:
         raise CatalogError("cyclic(n) requires n >= 1")
     if n > MAX_ORDER:
         raise BoundExceededError(f"cyclic({n}) exceeds desk bound {MAX_ORDER}")
-    if n == 1:
-        return Group(1, [])
     if n <= MAX_DEGREE:
         return Group(n, [Permutation(tuple(range(1, n)) + (0,))])
     # coprime prime-power decomposition acts on fewer points
@@ -79,6 +76,7 @@ def cyclic(n: int) -> Group:
 
 def dihedral(n: int) -> Group:
     """Dihedral group of order 2n on n points (n >= 3)."""
+    _check_degree(n)
     if n < 3:
         raise CatalogError("dihedral(n) requires n >= 3")
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -90,7 +88,7 @@ def dicyclic(n: int) -> Group:
     """Dicyclic group of order 4n (n >= 2); dicyclic(2) is the quaternion Q8."""
     if n < 2:
         raise CatalogError("dicyclic(n) requires n >= 2")
-    _check_regular_degree(4 * n)
+    _check_degree(4 * n)
     m = 2 * n
     elems = [(i, e) for e in range(2) for i in range(m)]
 
@@ -107,6 +105,7 @@ def dicyclic(n: int) -> Group:
 
 
 def symmetric(n: int) -> Group:
+    _check_degree(n)
     if n < 1:
         raise CatalogError("symmetric(n) requires n >= 1")
     if n == 1:
@@ -118,6 +117,7 @@ def symmetric(n: int) -> Group:
 
 
 def alternating(n: int) -> Group:
+    _check_degree(n)
     if n < 3:
         return Group(max(n, 1), [])
     gens = [Permutation((1, 2, 0) + tuple(range(3, n)))]
@@ -141,7 +141,7 @@ def metacyclic(n: int, m: int, k: int) -> Group:
     if pow(k, m, n) != 1 or math.gcd(k, n) != 1:
         raise CatalogError(
             f"metacyclic({n},{m},{k}): k^m must be 1 mod n with gcd(k,n)=1")
-    _check_regular_degree(n * m)
+    _check_degree(n * m)
     elems = [(i, j) for j in range(m) for i in range(n)]
 
     def mult(x, y):
@@ -155,7 +155,7 @@ def metacyclic(n: int, m: int, k: int) -> Group:
 def gendihedral(*ns: int) -> Group:
     """Generalized dihedral group: (C_n1 x ... x C_nk) extended by the
     inverting involution."""
-    _check_regular_degree(2 * math.prod(max(n, 0) for n in ns))
+    _check_degree(2 * math.prod(max(n, 0) for n in ns))
     elems = [tuple(v) + (e,) for e in range(2)
              for v in itertools.product(*(range(n) for n in ns))]
 
@@ -216,7 +216,7 @@ def c3xv4_rtimes_c2() -> Group:
 def heisenberg(p: int) -> Group:
     """Upper unitriangular 3x3 matrices over F_p (extraspecial of order p^3,
     exponent p for odd p)."""
-    _check_regular_degree(p ** 3)
+    _check_degree(p ** 3)
     elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mult(x, y):

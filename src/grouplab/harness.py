@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogEntry
@@ -110,8 +109,9 @@ def run_suite(catalog: Catalog, theorem_ids: tuple[str, ...],
                  theorem_ids)
             for e in entries]
     if jobs > 1 and len(work) > 1:
-        # the fork start method starts every worker at once: no more than
-        # there are groups
+        # imported here, so a serial run never loads multiprocessing; the
+        # fork start method starts every worker at once: no more than groups
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_group, work))
     else:
@@ -135,7 +135,7 @@ def run_suite(catalog: Catalog, theorem_ids: tuple[str, ...],
         nonvac = agg["pass"] + agg["fail"]
         agg["non_vacuous_ratio"] = (round(nonvac / checked, 6)
                                     if checked else 0.0)
-    report = {
+    return {
         "schema": SCHEMA,
         "catalog_digest": _catalog_digest(entries),
         "theorem_ids": list(theorem_ids),
@@ -147,7 +147,6 @@ def run_suite(catalog: Catalog, theorem_ids: tuple[str, ...],
         "timing": {"seconds": round(time.time() - started, 3),
                    "jobs": jobs},
     }
-    return report
 
 
 def report_body_without_timing(report: dict) -> bytes:

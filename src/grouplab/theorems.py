@@ -199,12 +199,13 @@ def _recheck_failed(check: str, H: Group) -> dict:
 
 def _hereditary(pred, containers):
     """Heredity: pred(H) in G implies pred(H) in K, for every container K
-    and every H <= K."""
+    and every H <= K; G is a container, so pred(H) in G is asked for all H."""
     def encode(ctx, params, wit):
+        held = {H for H in ctx.all_subgroups() if pred(ctx, H, params)}
         for K in containers(ctx):
             kctx = context_of(K)
             for H in ctx.subgroups_of(K):
-                if pred(ctx, H, params):
+                if H in held:
                     yield pred(kctx, H, params)
     return encode
 
@@ -212,12 +213,12 @@ def _hereditary(pred, containers):
 def _corresponds(pred):
     """Correspondence: pred(K/N) in G/N iff pred(K) in G, for N <= K."""
     def encode(ctx, params, wit):
-        subs = ctx.all_subgroups()
+        subs = [(K, pred(ctx, K, params)) for K in ctx.all_subgroups()]
         for N in ctx.normal_subgroups():
             qctx, image = ctx.quotient(N)
-            for K in subs:
+            for K, holds in subs:
                 if ctx.le(N, K):
-                    yield pred(qctx, image(K), params), pred(ctx, K, params)
+                    yield pred(qctx, image(K), params), holds
     return encode
 
 

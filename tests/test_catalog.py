@@ -228,7 +228,9 @@ def test_dihedral_dicyclic_families():
 
 
 @pytest.mark.parametrize("name", ["heisenberg(60)", "metacyclic(1000,200,1)",
-                                  "dicyclic(50000)", "gendihedral(300,300)"])
+                                  "dicyclic(50000)", "gendihedral(300,300)",
+                                  "dihedral(100000)", "symmetric(100000)",
+                                  "alternating(100000)"])
 def test_an_oversized_builtin_is_refused_before_it_lists_elements(name):
     tracemalloc.start()
     try:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,8 +127,8 @@ def test_groups_sorted_in_report():
 
 
 def test_worker_pool_is_capped_at_the_number_of_groups(monkeypatch):
-    """jobs beyond the group count start no extra workers; the executor is
-    replaced, so no process starts at all."""
+    """jobs beyond the group count start no extra workers; the executor that
+    run_suite imports is replaced, so no process starts at all."""
     asked = []
 
     class RecordingExecutor:
@@ -141,7 +144,8 @@ def test_worker_pool_is_capped_at_the_number_of_groups(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingExecutor)
     cat = _catalog("symmetric(3)", "cyclic(4)", "cyclic(5)")
     rep = run_suite(cat, ("L3.1",), jobs=5000)
     assert asked == [3]
@@ -149,6 +153,39 @@ def test_worker_pool_is_capped_at_the_number_of_groups(monkeypatch):
     assert rep["timing"]["jobs"] == 5000
     run_suite(cat, ("L3.1",), jobs=2)
     assert asked == [3, 2]
+
+
+_SERIAL_RUN = r"""
+import sys
+from grouplab.catalog import Catalog, CatalogEntry, builtin_group
+from grouplab.cli import entry
+from grouplab.harness import run_suite
+
+names = ("symmetric(3)", "cyclic(4)")
+catalog = Catalog(tuple(CatalogEntry(n, builtin_group(n)) for n in names))
+print(run_suite(catalog, ("L3.1",), jobs=1)["group_count"])
+sys.argv = ["grouplab", "info", "symmetric(3)"]
+try:
+    entry()
+except SystemExit as exc:
+    print("exit", exc.code)
+print("loaded:", *sorted({"multiprocessing", "concurrent.futures"}
+                         & set(sys.modules)))
+"""
+
+
+def test_a_serial_run_loads_no_process_pool():
+    """Only a run that starts a pool imports its machinery: a fresh process
+    that runs a jobs=1 suite on two groups and the info command loads
+    neither multiprocessing nor concurrent.futures."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GROUPLAB_")}
+    r = subprocess.run([sys.executable, "-c", _SERIAL_RUN], capture_output=True,
+                       text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "2"
+    assert "exit 0" in lines
+    assert lines[-1] == "loaded:"
 
 
 def test_report_body_does_not_depend_on_registry_history(monkeypatch):
